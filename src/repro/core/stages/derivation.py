@@ -9,7 +9,7 @@ it is fed by bus messages — never inline with ingestion.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Set, Union
+from typing import Any, Dict, Union
 
 from repro.certs import CaWorld, CertificateProcessor, CrlRegistry, CtLog, cert_entity_id
 from repro.core.secondary import ShardedSecondaryIndexes
@@ -55,7 +55,10 @@ class DerivationStage:
         self.ca_world = ca_world
         self.crl = crl
         self.ct_log = ct_log
-        self._dirty: Set[str] = set()
+        #: Entities to reindex, in first-dirtied order (a dict, not a set:
+        #: index ``items()`` order and the notification stream follow this
+        #: order, so it must not depend on the interpreter's hash seed).
+        self._dirty: Dict[str, None] = {}
         self.cert_processor = CertificateProcessor(
             journal, ca_world, crl, ct_log, on_processed=self._index_certificate
         )
@@ -80,10 +83,10 @@ class DerivationStage:
     # -- bus handlers ---------------------------------------------------------
 
     def _mark_dirty_message(self, message: Dict[str, Any]) -> None:
-        self._dirty.add(message["entity_id"])
+        self._dirty[message["entity_id"]] = None
 
     def mark_dirty(self, entity_id: str) -> None:
-        self._dirty.add(entity_id)
+        self._dirty[entity_id] = None
 
     def _on_tls_service(self, message: Dict[str, Any]) -> None:
         record = message.get("record") or {}
@@ -108,8 +111,9 @@ class DerivationStage:
         reads its own journal state), but the index writes go through one
         ``put_many`` per pass and the subscription engine is fed one
         entity-coalesced ``on_documents`` batch.  Both batch paths
-        preserve the per-event iteration order of the dirty set, the
-        dirty set holds each entity at most once, and puts/deletes target
+        keep the order entities were first dirtied in (the dirty set is
+        insertion-ordered, so the order is the same under every hash
+        seed), the set holds each entity at most once, and puts/deletes target
         disjoint ids within a pass — so documents, ``items()`` order, and
         the notification transition stream (sequence numbers included)
         are identical to the per-event loop; only the per-shard
@@ -149,6 +153,11 @@ class DerivationStage:
         return reindexed
 
     def daily(self, now: float) -> None:
-        """CT polling and certificate revalidation (daily housekeeping)."""
-        self.cert_processor.poll_ct(now)
-        self.cert_processor.revalidate_all(now)
+        """CT polling and certificate revalidation (daily housekeeping).
+
+        One WAL batch per shard for the whole pass; the platform flushes
+        the commit windows before anything downstream acts on it.
+        """
+        with self.journal.transaction():
+            self.cert_processor.poll_ct(now)
+            self.cert_processor.revalidate_all(now)

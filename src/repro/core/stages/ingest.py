@@ -94,8 +94,16 @@ class IngestStage:
     # -- asynchronous delivery ------------------------------------------------
 
     def pump(self) -> int:
-        """Deliver queued bus messages to the derivation-side consumers."""
-        delivered = self.bus.pump()
+        """Deliver queued bus messages to the derivation-side consumers.
+
+        Consumers journal too (the certificate processor appends on TLS
+        messages); everything one pump appends commits as one WAL batch
+        per shard.  The caller flushes the commit windows afterwards, so
+        the batch is fsynced — and only then visible to commit listeners —
+        before replication ships or subscriptions deliver.
+        """
+        with self.journal.transaction():
+            delivered = self.bus.pump()
         self.counters.bump("messages_pumped", delivered)
         return delivered
 
@@ -114,10 +122,11 @@ class IngestStage:
         from repro.pipeline.events import service_key
 
         evicted = 0
-        for known in scheduler.due_evictions(now):
-            self.remove_service(known.entity_id, service_key(known.port, known.transport), now)
-            predictive.remember_evicted(known.ip_index, known.port, known.transport, now)
-            scheduler.forget(known.ip_index, known.port, known.transport)
-            evicted += 1
+        with self.journal.transaction():  # one WAL batch per shard per sweep
+            for known in scheduler.due_evictions(now):
+                self.remove_service(known.entity_id, service_key(known.port, known.transport), now)
+                predictive.remember_evicted(known.ip_index, known.port, known.transport, now)
+                scheduler.forget(known.ip_index, known.port, known.transport)
+                evicted += 1
         self.counters.bump("evictions", evicted)
         return evicted

@@ -8,7 +8,7 @@ WHOIS, fingerprinted manufacturer/model/version, CVEs, and threat labels.
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.enrich.fingerprints import FingerprintEngine, default_fingerprints
 from repro.enrich.geoip import GeoIpRegistry, WhoisRegistry
@@ -40,22 +40,46 @@ def ip_index_of_entity(entity_id: str, space: AddressSpace) -> Optional[int]:
     return space.index_of(ip)
 
 
+def _per_network(registry: Any, fetch: Callable[[int], Any]) -> Callable[[int], Dict[str, Any]]:
+    """``asdict(fetch(ip_index))``, converted once per owning network.
+
+    A registry record depends only on the network that owns the address,
+    and its fields are scalars, so every view gets its own shallow copy of
+    the network's dict instead of a fresh ``asdict`` walk per lookup.
+    """
+    by_network: Dict[int, Dict[str, Any]] = {}
+    network_of = registry.network_of
+
+    def record_for(ip_index: int) -> Dict[str, Any]:
+        network_id = network_of(ip_index).network_id
+        record = by_network.get(network_id)
+        if record is None:
+            record = by_network[network_id] = asdict(fetch(ip_index))
+        return dict(record)
+
+    return record_for
+
+
 def make_location_enricher(geoip: GeoIpRegistry, space: AddressSpace) -> Enricher:
+    location_of = _per_network(geoip, geoip.locate)
+
     def enrich(view: Dict[str, Any]) -> None:
         ip_index = ip_index_of_entity(view["entity_id"], space)
         if ip_index is None:
             return
-        view["derived"]["location"] = asdict(geoip.locate(ip_index))
+        view["derived"]["location"] = location_of(ip_index)
 
     return enrich
 
 
 def make_routing_enricher(whois: WhoisRegistry, space: AddressSpace) -> Enricher:
+    routing_of = _per_network(whois, whois.lookup)
+
     def enrich(view: Dict[str, Any]) -> None:
         ip_index = ip_index_of_entity(view["entity_id"], space)
         if ip_index is None:
             return
-        view["derived"]["autonomous_system"] = asdict(whois.lookup(ip_index))
+        view["derived"]["autonomous_system"] = routing_of(ip_index)
 
     return enrich
 

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.enrich.dsl import compile_program
+from repro.enrich.dsl import compile_program, parse, required_fields
 
 __all__ = ["FingerprintRule", "FingerprintEngine", "default_fingerprints", "SoftwareMatch"]
 
@@ -100,7 +101,16 @@ def _as_text(value: Any) -> str:
 
 
 class FingerprintEngine:
-    """Applies the rule set to service records; first match per rule wins."""
+    """Applies the rule set to service records; first match per rule wins.
+
+    Rules are dispatched on what a record contains rather than tried one
+    by one: a rule can only match a record that carries every filter field
+    (and every field its program requires) with a non-``None`` value, so
+    each rule is indexed under one such *anchor* field and ``identify``
+    evaluates only the rules anchored on fields the record has, plus the
+    few with no anchor — in the original rule order, so the result is that
+    of the linear scan.
+    """
 
     def __init__(self, rules: List[FingerprintRule]) -> None:
         names = [r.name for r in rules]
@@ -109,10 +119,36 @@ class FingerprintEngine:
         self.rules = rules
         self.checks = 0
         self.hits = 0
+        self._indexed_rules = -1
+        self._anchored: Dict[str, List[Tuple[int, FingerprintRule]]] = {}
+        self._unanchored: List[Tuple[int, FingerprintRule]] = []
+
+    def _build_index(self) -> None:
+        """(Re)index ``rules``; runs again when the list has grown or shrunk."""
+        self._anchored = {}
+        self._unanchored = []
+        for position, rule in enumerate(self.rules):
+            anchor = next(iter(rule.filters), None)
+            if anchor is None:
+                required = required_fields(parse(rule.program))
+                anchor = min(required) if required else None
+            if anchor is None:
+                self._unanchored.append((position, rule))
+            else:
+                self._anchored.setdefault(anchor, []).append((position, rule))
+        self._indexed_rules = len(self.rules)
 
     def identify(self, record: Dict[str, Any]) -> List[SoftwareMatch]:
+        if self._indexed_rules != len(self.rules):
+            self._build_index()
+        anchored = self._anchored
+        candidates = list(self._unanchored)
+        for field_name, value in record.items():
+            if value is not None and field_name in anchored:
+                candidates.extend(anchored[field_name])
+        candidates.sort(key=itemgetter(0))
         matches = []
-        for rule in self.rules:
+        for _, rule in candidates:
             self.checks += 1
             match = rule.matches(record)
             if match is not None:
@@ -125,7 +161,7 @@ class FingerprintEngine:
         matches = self.identify(record)
         if not matches:
             return None
-        return sorted(matches, key=lambda m: (m.version is None, m.rule))[0]
+        return min(matches, key=lambda m: (m.version is None, m.rule))
 
 
 def default_fingerprints() -> FingerprintEngine:

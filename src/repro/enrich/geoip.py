@@ -63,6 +63,10 @@ class GeoIpRegistry:
     def __init__(self, topology: Topology) -> None:
         self._topology = topology
 
+    def network_of(self, ip_index: int) -> Network:
+        """The owning network: everything ``locate`` returns depends on it alone."""
+        return self._topology.network_of(ip_index)
+
     def locate(self, ip_index: int) -> GeoRecord:
         network = self._topology.network_of(ip_index)
         city, lat, lon = _CITIES.get(network.country, _CITIES["OTHER"])
@@ -82,6 +86,10 @@ class WhoisRegistry:
 
     def __init__(self, topology: Topology) -> None:
         self._topology = topology
+
+    def network_of(self, ip_index: int) -> Network:
+        """The owning network: everything ``lookup`` returns depends on it alone."""
+        return self._topology.network_of(ip_index)
 
     def lookup(self, ip_index: int) -> WhoisRecord:
         network = self._topology.network_of(ip_index)

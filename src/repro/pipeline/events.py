@@ -69,7 +69,18 @@ class Event:
     time: float
     kind: str
     payload: Mapping[str, Any] = field(default_factory=dict)
+    #: ``encoded_size()`` memo (-1: not computed yet).  A journaled payload
+    #: never changes, and storage accounting asks for the size again at
+    #: every tier migration and compaction fold.
+    _size: int = field(default=-1, init=False, repr=False, compare=False)
 
     def encoded_size(self) -> int:
         """Approximate on-disk size in bytes (storage accounting)."""
-        return len(self.entity_id) + 12 + len(json.dumps(self.payload, default=str, sort_keys=True))
+        size = self._size
+        if size < 0:
+            size = (
+                len(self.entity_id) + 12
+                + len(json.dumps(self.payload, default=str, sort_keys=True))
+            )
+            object.__setattr__(self, "_size", size)
+        return size

@@ -235,7 +235,8 @@ class EventJournal:
 
     @contextmanager
     def transaction(self):
-        """Group appends into one atomic WAL batch (one observation's events).
+        """Group appends into one atomic WAL batch (one observation's
+        events, or everything one ingest chunk or tick phase appends here).
 
         No-op for in-memory journals.  Nested transactions commit once, at
         the outermost exit.

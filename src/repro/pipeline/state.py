@@ -138,5 +138,29 @@ def service_view(state: Dict[str, Any], key: str) -> Dict[str, Any] | None:
 
 
 def snapshot_state(state: Dict[str, Any]) -> Dict[str, Any]:
-    """A deep copy suitable for storing as a snapshot row."""
-    return copy.deepcopy(state)
+    """A deep copy suitable for storing as a snapshot row.
+
+    State is plain nested data, so the copy walks dicts, lists and tuples
+    directly instead of paying ``copy.deepcopy``'s memo and reducer
+    dispatch per node.  The result is what ``deepcopy`` returns — same
+    values, same list/tuple flavour, a tuple of immutables handed back
+    as-is (so resident memory does not grow), nothing mutable shared with
+    the original — and any other type still goes through ``deepcopy``.
+    """
+    return _copy_plain(state)
+
+
+def _copy_plain(value: Any) -> Any:
+    cls = value.__class__
+    if cls is str or cls is float or cls is int or value is None or cls is bool:
+        return value
+    if cls is dict:
+        return {key: _copy_plain(item) for key, item in value.items()}
+    if cls is list:
+        return [_copy_plain(item) for item in value]
+    if cls is tuple:
+        copied = tuple([_copy_plain(item) for item in value])
+        if all(new is old for new, old in zip(copied, value)):
+            return value
+        return copied
+    return copy.deepcopy(value)

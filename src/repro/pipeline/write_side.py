@@ -19,8 +19,9 @@ timeouts on the processor's exponential-backoff
 observations that exhaust their attempts.  Observations older than the
 entity's journal head (redelivered after a crash, or reordered in transit)
 are dropped as *stale* — last-writer-wins — instead of corrupting the
-journal's time order.  Each observation's events commit as one atomic WAL
-batch when the journal is durable.
+journal's time order.  When the journal is durable, ``submit`` commits each
+observation's events as one atomic WAL batch and ``submit_many`` commits
+the whole chunk as one batch per shard.
 """
 
 from __future__ import annotations
@@ -101,6 +102,12 @@ class WriteSideProcessor:
         self.retry = retry or RetryPolicy()
         self.dlq = dlq if dlq is not None else DeadLetterQueue()
         self.stats = WriteStats()
+        # Either journal flavour is accepted; which one this is never
+        # changes, so the flavour-specific methods are resolved once.
+        self._shard_of = getattr(journal, "shard_of", None)
+        self._flush_commit_windows = getattr(
+            journal, "flush_commit_windows", getattr(journal, "flush_commit_window", None)
+        )
 
     # ------------------------------------------------------------------
 
@@ -132,17 +139,20 @@ class WriteSideProcessor:
     ) -> List[Optional[str]]:
         """Batched ingest: bit-identical to ``submit`` per observation.
 
-        Consecutive same-entity observations commit as one WAL batch (one
-        transaction per *run*), amortizing the per-event append/fsync cost
-        while producing the exact same events, stats, bus publishes, and
-        dead letters as the one-at-a-time reference.  With a non-inline
-        executor and a sharded journal the observations are grouped by
-        owning shard and whole groups ingest in parallel (each shard's
-        subsequence keeps its input order); bus publishes and new-entity
-        registration are then replayed serially in input order, so the
-        observable outcome is independent of the backend.  The parallel
-        path is skipped when a fault injector is attached — retry/crash
-        schedules are keyed to global observation order.
+        The whole chunk commits as one WAL batch per shard it touches,
+        amortizing the per-event encode/append/fsync cost while producing
+        the exact same events, stats, bus publishes, and dead letters as
+        the one-at-a-time reference.  The crash-atomicity unit is therefore
+        the chunk-per-shard: a crash mid-chunk loses the whole un-acked
+        chunk on that shard, and redelivery plus the stale-drop rule
+        converge from there.  With a non-inline executor and a sharded
+        journal the observations are grouped by owning shard and whole
+        groups ingest in parallel (each shard's subsequence keeps its input
+        order); bus publishes and new-entity registration are then replayed
+        serially in input order, so the observable outcome is independent
+        of the backend.  With a fault injector attached every observation
+        keeps its own transaction on the serial path — retry and crash
+        schedules are keyed to global per-observation commit ranges.
 
         Any open group-commit windows are flushed before returning:
         an acked batch is a durable batch.
@@ -150,59 +160,29 @@ class WriteSideProcessor:
         observations = list(observations)
         if not observations:
             return []
-        journal = self.journal
-        shard_of = getattr(journal, "shard_of", None)
-        if (
-            executor is not None
-            and not executor.inline
-            and self.faults is None
-            and shard_of is not None
-        ):
+        results = self._submit_chunk(observations, executor)
+        if self._flush_commit_windows is not None:
+            self._flush_commit_windows()
+        return results
+
+    def _submit_chunk(
+        self, observations: List[ScanObservation], executor: Optional[Any]
+    ) -> List[Optional[str]]:
+        if self.faults is not None:
+            # Crash points and retry schedules are keyed to per-observation
+            # commit ranges: one transaction each, so chaos scenarios mean
+            # the same thing batched or not.
+            return [self.submit(obs) for obs in observations]
+        shard_of = self._shard_of
+        if executor is not None and not executor.inline and shard_of is not None:
             groups: Dict[int, List[int]] = {}
             for pos, obs in enumerate(observations):
                 groups.setdefault(shard_of(obs.entity_id), []).append(pos)
             if len(groups) > 1:
-                results = self._submit_many_parallel(observations, groups, executor)
-                self._flush_commit_windows()
-                return results
-        results = self._submit_many_serial(observations)
-        self._flush_commit_windows()
-        return results
-
-    def _flush_commit_windows(self) -> None:
-        flush = getattr(
-            self.journal, "flush_commit_windows",
-            getattr(self.journal, "flush_commit_window", None),
-        )
-        if flush is not None:
-            flush()
-
-    def _run_transaction(self, entity_id: str):
-        """A transaction on just the entity's owning journal (one shard)."""
-        journal_for = getattr(self.journal, "journal_for", None)
-        journal = self.journal if journal_for is None else journal_for(entity_id)
-        return journal.transaction()
-
-    def _submit_many_serial(
-        self, observations: List[ScanObservation]
-    ) -> List[Optional[str]]:
-        if self.faults is not None:
-            # Crash points and retry schedules are keyed to per-observation
-            # commit ranges; keep the reference one-txn-per-observation shape
-            # so chaos scenarios mean the same thing batched or not.
+                return self._submit_many_parallel(observations, groups, executor)
+        # Shards the chunk never touches commit nothing.
+        with self.journal.transaction():
             return [self.submit(obs) for obs in observations]
-        results: List[Optional[str]] = [None] * len(observations)
-        i, n = 0, len(observations)
-        while i < n:
-            entity = observations[i].entity_id
-            j = i + 1
-            while j < n and observations[j].entity_id == entity:
-                j += 1
-            with self._run_transaction(entity):
-                for pos in range(i, j):
-                    results[pos] = self.submit(observations[pos])
-            i = j
-        return results
 
     def _submit_many_parallel(
         self,
@@ -236,20 +216,14 @@ class WriteSideProcessor:
             )
             out: List[Tuple[int, Optional[str]]] = []
             first_appends: List[Tuple[int, str]] = []
-            i, n = 0, len(positions)
-            while i < n:
-                entity = observations[positions[i]].entity_id
-                j = i + 1
-                while j < n and observations[positions[j]].entity_id == entity:
-                    j += 1
-                with shard_journal.transaction():
-                    for pos in positions[i:j]:
-                        bus.position = pos
-                        known = shard_journal.has_entity(entity)
-                        out.append((pos, clone.submit(observations[pos])))
-                        if not known and shard_journal.has_entity(entity):
-                            first_appends.append((pos, entity))
-                i = j
+            with shard_journal.transaction():
+                for pos in positions:
+                    entity = observations[pos].entity_id
+                    bus.position = pos
+                    known = shard_journal.has_entity(entity)
+                    out.append((pos, clone.submit(observations[pos])))
+                    if not known and shard_journal.has_entity(entity):
+                        first_appends.append((pos, entity))
             return out, bus.published, clone.stats, clone.dlq.entries(), first_appends
 
         merged = executor.map_shards(
@@ -271,7 +245,7 @@ class WriteSideProcessor:
                 self.dlq.push(letter.item, letter.reason, attempts=letter.attempts)
         for _pos, entity in sorted(first_appends):
             if entity not in journal._entity_shard:
-                journal._entity_shard[entity] = journal.shard_of(entity)
+                journal._entity_shard[entity] = self._shard_of(entity)
         published.sort(key=lambda record: record[0])
         for _pos, topic, message in published:
             self.bus.publish(topic, message)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
@@ -113,6 +114,10 @@ def build_workload(seed: int = 7, n_hosts: int = 5, sweeps: int = 8) -> List[Any
             )
         )
     return items
+
+
+def _chunks(items: List[Any], size: int) -> List[List[Any]]:
+    return [items[i : i + size] for i in range(0, len(items), size)]
 
 
 def apply_item(processor: WriteSideProcessor, item: Any) -> Any:
@@ -388,11 +393,17 @@ def run_failover_chaos(
     schedule: Tuple[FailoverEvent, ...] = (),
     snapshot_every: int = SNAPSHOT_EVERY,
     group_commit_events: int = 1,
+    chunk: int = 1,
     retry: Optional[RetryPolicy] = None,
     max_rounds: int = 6000,
 ) -> FailoverResult:
     """Drive the workload through per-shard replicated pipelines while the
     schedule kills/partitions primaries; returns converged state.
+
+    ``chunk`` > 1 commits every ``chunk`` consecutive items a lane applies
+    in a round as a single WAL batch — the shape ``submit_many`` gives the
+    platform's ingest chunks — so replication ships multi-entity,
+    chunk-sized batches and a killed primary abandons whole un-acked chunks.
 
     Acks flow back to each shard's source only up to the replication
     watermark (items that journal nothing are acked on apply — they are
@@ -513,14 +524,16 @@ def run_failover_chaos(
                 continue
             round_start = lane.group.primary.stats.events
             arrivals = lane.channel.transmit(lane.source.pending())
-            for arrival in arrivals:
-                for env in lane.resequencer.push(arrival):
-                    before = lane.group.primary.stats.events
-                    apply_item(lane.processor, env.item)
-                    if lane.group.primary.stats.events == before:
-                        # Journaled nothing: a deterministic no-op, safe to
-                        # ack immediately (losing and redoing it is free).
-                        lane.source.ack(env.seq)
+            ready = [env for arrival in arrivals for env in lane.resequencer.push(arrival)]
+            for group in _chunks(ready, chunk):
+                with lane.group.primary.transaction() if chunk > 1 else nullcontext():
+                    for env in group:
+                        before = lane.group.primary.stats.events
+                        apply_item(lane.processor, env.item)
+                        if lane.group.primary.stats.events == before:
+                            # Journaled nothing: a deterministic no-op, safe to
+                            # ack immediately (losing and redoing it is free).
+                            lane.source.ack(env.seq)
             if lane.group.primary.stats.events == round_start:
                 # Idle round: nothing journaled, so a partially filled
                 # group-commit window would never reach its event bound.
@@ -647,10 +660,16 @@ def run_chaos_with_compaction(
     compact_every_rounds: int = 2,
     min_sealed_segments: int = 2,
     crash_hooks: Tuple[str, ...] = (),
+    chunk: int = 1,
     retry: Optional[RetryPolicy] = None,
     max_rounds: int = 3000,
 ) -> CompactionChaosResult:
     """run_chaos with periodic compaction passes and compaction kills.
+
+    ``chunk`` > 1 commits every ``chunk`` consecutive items as one
+    multi-entity WAL batch (the ingest-chunk commit unit) and acks them
+    only once that batch has committed, so sealed segments hold
+    chunk-sized records.
 
     ``crash_hooks`` is an ordered sequence of compactor hook names (from
     {"cold_written", "cold_renamed", "manifest_written", "mid_delete"}):
@@ -724,19 +743,20 @@ def run_chaos_with_compaction(
             )
         arrivals = channel.transmit(source.pending())
         crashed = False
-        for arrival in arrivals:
-            for ready in resequencer.push(arrival):
-                try:
-                    apply_item(processor, ready)
-                    source.ack(item_seq(ready))
-                except SimulatedCrash:
-                    crashes += 1
-                    recoveries += 1
-                    recover()
-                    crashed = True
-                    break
-            if crashed:
-                break
+        try:
+            ready = [item for arrival in arrivals for item in resequencer.push(arrival)]
+            for group in _chunks(ready, chunk):
+                with journal.transaction() if chunk > 1 else nullcontext():
+                    for item in group:
+                        apply_item(processor, item)
+                # Acked only once the batch holding it has committed.
+                for item in group:
+                    source.ack(item_seq(item))
+        except SimulatedCrash:
+            crashes += 1
+            recoveries += 1
+            recover()
+            crashed = True
         if crashed:
             continue
         if rounds % compact_every_rounds == 0:

@@ -110,6 +110,56 @@ class TestFoldCorrectness:
             journal.stats.ssd_bytes + journal.stats.hdd_bytes + journal.stats.cold_bytes
         )
 
+    def test_storage_accounting_unchanged_by_encoding_each_event_once(self, tmp_path, monkeypatch):
+        """``Event.encoded_size`` is memoized; every number it feeds must be
+        byte-for-byte what re-encoding on every call produced (the literals
+        were captured at the commit before the memo)."""
+        import repro.pipeline.events as events_module
+
+        def fresh_size(event):
+            return len(event.entity_id) + 12 + len(
+                json.dumps(event.payload, default=str, sort_keys=True)
+            )
+
+        journal, _reference, t_end = make_pair(tmp_path)
+        compactor = SegmentCompactor(journal, str(tmp_path / "wal"), min_sealed_segments=2)
+        assert compactor.run_once()["events"] == 224
+        feed(journal, 30, t0=t_end)
+
+        class CountingJson:
+            """Stands in for the ``json`` name inside ``events.py`` only."""
+
+            calls = 0
+
+            @classmethod
+            def dumps(cls, *args, **kwargs):
+                cls.calls += 1
+                return json.dumps(*args, **kwargs)
+
+        monkeypatch.setattr(events_module, "json", CountingJson)
+        report = compactor.run_once()
+        monkeypatch.undo()
+        assert report["events"] == 192
+
+        assert journal.storage_report() == {
+            "cold_bytes": 34218, "heartbeats_encoded": 330, "live_bytes": 1968,
+            "resident_event_bytes": 144, "resident_events": 4, "segments": 27,
+            "superseded_bytes": 0, "total_bytes": 36186,
+            "wal_bytes_written": 55974, "wal_records": 420,
+        }
+        stats = journal.stats
+        assert (stats.event_bytes, stats.snapshot_bytes) == (17994, 18192)
+        assert stats.ssd_bytes + stats.hdd_bytes + stats.cold_bytes == stats.total_bytes
+        assert compactor.stats.event_bytes_folded == 17850
+        # Independent of the memo: re-encode every event from scratch.
+        every_event = [e for host in HOSTS for e in journal.events_for(host)]
+        assert len(every_event) == stats.events
+        assert sum(fresh_size(e) for e in every_event) == stats.event_bytes
+        assert all(e.encoded_size() == fresh_size(e) for e in every_event)
+        # One encode per event decoded from the sealed segments (it was
+        # three), none for the resident rows sized when they were appended.
+        assert CountingJson.calls == report["events"]
+
     def test_compaction_does_not_bump_versions(self, tmp_path):
         journal, _, _ = make_pair(tmp_path)
         versions = {h: journal.entity_version(h) for h in HOSTS}
@@ -388,12 +438,15 @@ class TestChaosThroughCompaction:
         journal, _ = run_oracle(self.WORKLOAD)
         return read_fingerprint(journal)
 
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_faulted_ingest_plus_compaction_converges(self, seed, tmp_path, oracle_fp):
+    #: The ingest-chunk commit unit: multi-entity WAL records of 8 items,
+    #: with segments sized down so 7x fewer records still seal enough.
+    CHUNKED = {"chunk": 8, "segment_max_records": 4}
+
+    def _converges(self, seed, tmp_path, oracle_fp, **unit):
         plan = FaultPlan(seed=seed, drop_rate=0.15, duplicate_rate=0.1, reorder_rate=0.2)
         result = run_chaos_with_compaction(
             self.WORKLOAD, plan, str(tmp_path / "wal"),
-            crash_hooks=("cold_renamed", "mid_delete"),
+            crash_hooks=("cold_renamed", "mid_delete"), **unit,
         )
         assert result.compaction_crashes == 2
         assert result.events_folded > 0
@@ -401,21 +454,41 @@ class TestChaosThroughCompaction:
         assert read_fingerprint(result.journal) == oracle_fp, f"live diverged — seed {seed}"
         assert read_fingerprint(result.recovered) == oracle_fp, f"recovery diverged — seed {seed}"
         result.recovered.close()
+        return result
 
-    @pytest.mark.parametrize(
-        "point", ["cold_written", "cold_renamed", "manifest_written", "mid_delete"]
-    )
-    def test_each_crash_point_on_grid_seed(self, point, tmp_path, oracle_fp):
+    def _crash_point(self, point, tmp_path, oracle_fp, **unit):
         plan = FaultPlan(seed=SEEDS[0], drop_rate=0.1, duplicate_rate=0.1)
         result = run_chaos_with_compaction(
             self.WORKLOAD, plan, str(tmp_path / "wal"),
-            crash_hooks=(point,),
+            crash_hooks=(point,), **unit,
         )
         assert result.compaction_crashes == 1
         assert read_fingerprint(result.recovered) == oracle_fp, (
             f"recovery diverged — crash at {point}"
         )
         result.recovered.close()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_faulted_ingest_plus_compaction_converges(self, seed, tmp_path, oracle_fp):
+        self._converges(seed, tmp_path, oracle_fp)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_chunk_sized_batches_plus_compaction_converge(self, seed, tmp_path, oracle_fp):
+        result = self._converges(seed, tmp_path, oracle_fp, **self.CHUNKED)
+        stats = result.journal.stats
+        assert stats.wal_batches < stats.events // 4  # folds really saw chunk records
+
+    @pytest.mark.parametrize(
+        "point", ["cold_written", "cold_renamed", "manifest_written", "mid_delete"]
+    )
+    def test_each_crash_point_on_grid_seed(self, point, tmp_path, oracle_fp):
+        self._crash_point(point, tmp_path, oracle_fp)
+
+    @pytest.mark.parametrize(
+        "point", ["cold_written", "cold_renamed", "manifest_written", "mid_delete"]
+    )
+    def test_each_crash_point_with_chunk_sized_batches(self, point, tmp_path, oracle_fp):
+        self._crash_point(point, tmp_path, oracle_fp, **self.CHUNKED)
 
 
 class TestManifestFile:

@@ -201,13 +201,7 @@ def test_failover_run_is_replayable(seed, tmp_path):
         assert lane_a.acked_watermark == lane_b.acked_watermark
 
 
-@pytest.mark.parametrize("window", [2, 4])
-def test_failover_with_group_commit_converges(window, tmp_path):
-    """Kills mid-ingest with a multi-batch WAL commit window: batches only
-    ship at their covering fsync, so replicas trail in clumps, the killed
-    primary abandons an open window, and zero-acked-write-loss plus
-    oracle convergence must still hold (the PR 7 invariants under the
-    PR 10 group-commit WAL)."""
+def _failover_under_group_commit(window, tmp_path, chunk=1):
     root = str(tmp_path / "shards")
     result = run_failover_chaos(
         WORKLOAD,
@@ -217,17 +211,44 @@ def test_failover_with_group_commit_converges(window, tmp_path):
         replicas=2,
         ack_replicas=1,
         group_commit_events=window,
+        chunk=chunk,
         schedule=(
             FailoverEvent(shard=0, at_events=10),
             FailoverEvent(shard=0, at_events=14),
             FailoverEvent(shard=1, at_events=20),
         ),
     )
+    # Zero acked-write loss is asserted inside the harness at each promotion.
     assert result.fail_overs == 3
     _assert_converged(result)
+    batch_sizes = [
+        [len(batch.events) for batch in lane.group.replicator.log] for lane in result.lanes
+    ]
     result.close()
     _assert_cold_recovery(result)
     _assert_no_tmpdir_leaks(root)
+    return batch_sizes
+
+
+@pytest.mark.parametrize("window", [2, 4])
+def test_failover_with_group_commit_converges(window, tmp_path):
+    """Kills mid-ingest with a multi-batch WAL commit window: batches only
+    ship at their covering fsync, so replicas trail in clumps, the killed
+    primary abandons an open window, and zero-acked-write-loss plus
+    oracle convergence must still hold (the PR 7 invariants under the
+    PR 10 group-commit WAL)."""
+    _failover_under_group_commit(window, tmp_path)
+
+
+@pytest.mark.parametrize("window", [1, 2, 4])
+def test_failover_with_chunk_sized_batches_converges(window, tmp_path):
+    """The same kill schedule with the ingest-chunk commit unit: every
+    replication batch is a multi-entity chunk, a killed primary abandons
+    whole un-acked chunks, and the watermark still counts batches every
+    required replica holds."""
+    batch_sizes = _failover_under_group_commit(window, tmp_path, chunk=8)
+    for sizes in batch_sizes:
+        assert max(sizes) > 1 and len(sizes) < sum(sizes)
 
 
 def test_no_schedule_still_replicates(tmp_path):

@@ -10,6 +10,7 @@ observable only in the accounting, never in the data.
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 import random
@@ -413,3 +414,214 @@ class TestPlatformBatchingInvariance:
             assert plat.subscriptions.events_seen > 0
         finally:
             plat.close()
+
+
+# ---------------------------------------------------------------------------
+# The commit unit: one WAL record per ingest chunk per shard
+# ---------------------------------------------------------------------------
+
+
+def collision_free_stream(n):
+    """``n`` distinct hosts, one successful observation each: every
+    observation journals exactly one event and no chunk repeats an entity."""
+    return [
+        ScanObservation(
+            f"host:10.7.{i // 200}.{i % 200 + 1}", float(i), 443, "tcp", _result(443),
+            obs_seq=i,
+        )
+        for i in range(n)
+    ]
+
+
+def chunks_of(stream, size):
+    return [stream[i : i + size] for i in range(0, len(stream), size)]
+
+
+class TestChunkCommit:
+    CHUNK = 16
+
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_one_wal_record_per_chunk_per_shard(self, shards, tmp_path):
+        stream = collision_free_stream(160)
+        shard_map = ShardMap(shards)
+        journal = ShardedJournal.durable(
+            str(tmp_path / "wal"), shard_map, group_commit_events=64
+        )
+        ws = WriteSideProcessor(journal, EventBus())
+        expected_records = [0] * shards
+        for chunk in chunks_of(stream, self.CHUNK):
+            ws.submit_many(chunk)
+            for shard in {shard_map.shard_of(obs.entity_id) for obs in chunk}:
+                expected_records[shard] += 1
+            # An acked chunk is a durable chunk: nothing left in any window.
+            for shard_journal in journal.journals:
+                assert shard_journal.wal._records_since_fsync == 0
+                assert not shard_journal.wal._pending_durable
+        assert [j.wal.stats.records for j in journal.journals] == expected_records
+        assert sum(expected_records) < len(stream) // 2  # not one record per event
+        assert [j.stats.wal_batches for j in journal.journals] == expected_records
+        assert sum(j.stats.wal_events for j in journal.journals) == len(stream)
+        live = sharded_fingerprint(journal)
+        journal.close()
+        recovered = ShardedJournal.recover(str(tmp_path / "wal"), shard_map, reopen=False)
+        assert sharded_fingerprint(recovered) == live
+
+    @pytest.mark.parametrize("mode", ["before", "torn", "pre_fsync"])
+    def test_crash_inside_a_chunk_recovers_whole_chunks_only(self, mode, tmp_path):
+        """A crash while a multi-entity chunk commits loses that whole
+        un-acked chunk or none of it — never a prefix — and redelivery
+        from the durable watermark converges to the fault-free oracle."""
+        from repro.pipeline import (
+            CrashPoint, EventJournal, FaultPlan, SimulatedCrash, WriteAheadLog,
+        )
+        from tests.chaos_harness import max_durable_seq
+
+        stream = build_stream(seed=21, n_hosts=30, events=200)
+        chunks = chunks_of(stream, self.CHUNK)
+        oracle = EventJournal()
+        oracle_ws = WriteSideProcessor(oracle, EventBus())
+        events_after_chunk = []
+        for chunk in chunks:
+            for obs in chunk:
+                oracle_ws.submit(obs)
+            events_after_chunk.append(oracle.stats.events)
+        # Aim strictly inside the fifth chunk's durable-event range.
+        target = 4
+        lo, hi = events_after_chunk[target - 1] + 1, events_after_chunk[target]
+        assert hi - lo >= 2
+        entities = {obs.entity_id for obs in chunks[target]}
+        assert len(entities) > 1  # a multi-entity chunk
+
+        crash_points = () if mode == "pre_fsync" else (CrashPoint(lo + 1, mode),)
+        injector = FaultPlan(seed=1, crash_points=crash_points).injector()
+        fsyncs_seen = {"n": 0}
+
+        def wal_hook(point):
+            if mode == "pre_fsync" and point == "pre_fsync":
+                fsyncs_seen["n"] += 1
+                if fsyncs_seen["n"] == target + 1:
+                    raise SimulatedCrash("crash before the chunk's covering fsync")
+
+        wal_dir = str(tmp_path / "wal")
+        journal = EventJournal(
+            wal=WriteAheadLog(wal_dir, group_commit_events=64, crash_hook=wal_hook),
+            fault_injector=injector,
+        )
+        shipped = []
+        journal.commit_listener = lambda events: shipped.append(len(events))
+        ws = WriteSideProcessor(journal, EventBus())
+        crashed_at = None
+        for index, chunk in enumerate(chunks):
+            try:
+                ws.submit_many(chunk)
+            except SimulatedCrash:
+                crashed_at = index
+                break
+        assert crashed_at == target
+        # Commit listeners saw exactly the acked chunks, one batch each.
+        assert shipped == [
+            events_after_chunk[i] - (events_after_chunk[i - 1] if i else 0)
+            for i in range(target)
+        ]
+        journal.commit_listener = None
+        journal.close()
+
+        recovered = EventJournal.recover(wal_dir, group_commit_events=64)
+        torn = recovered.stats.torn_records_discarded
+        assert torn == (1 if mode == "torn" else 0)
+        # pre_fsync: the record had reached the file, so the (simulated)
+        # crash keeps the whole chunk; before/torn lose the whole chunk.
+        survived = target + 1 if mode == "pre_fsync" else target
+        prefix = EventJournal()
+        prefix_ws = WriteSideProcessor(prefix, EventBus())
+        for chunk in chunks[:survived]:
+            for obs in chunk:
+                prefix_ws.submit(obs)
+        assert journal_fingerprint(recovered) == journal_fingerprint(prefix)
+        assert recovered.stats.wal_batches == survived
+
+        # Redelivery: everything past the durable watermark, re-chunked.
+        resume = max_durable_seq(recovered) + 1
+        ws = WriteSideProcessor(recovered, EventBus())
+        for chunk in chunks_of(stream[resume:], self.CHUNK):
+            ws.submit_many(chunk)
+        assert journal_fingerprint(recovered) == journal_fingerprint(oracle)
+        recovered.close()
+        cold = EventJournal.recover(wal_dir, reopen=False)
+        assert journal_fingerprint(cold) == journal_fingerprint(oracle)
+
+
+@functools.lru_cache(maxsize=None)
+def shared_world():
+    return small_world()
+
+
+def idle_platform(tmp_path, name, **overrides):
+    """A platform that only ingests what it is handed (no discovery)."""
+    cfg = dict(
+        seed=6, predictive_enabled=False, wal_dir=str(tmp_path / name),
+        group_commit_events=64,
+    )
+    cfg.update(overrides)
+    plat = CensysPlatform(shared_world(), PlatformConfig(**cfg), start_time=0.0)
+    plat.tiers = []
+    return plat
+
+
+def platform_stream(plat, n=256):
+    """Mixed finds / changes / failures over in-space hosts, so location
+    and routing enrichment run, with same-entity repeats inside the chunk."""
+    rng = random.Random(31)
+    hosts = [plat.entity_for_ip(ip) for ip in range(8, 72)]
+    versions = {}
+    stream = []
+    for i in range(n):
+        host, port = rng.choice(hosts), rng.choice([22, 80, 443])
+        roll = rng.random()
+        if roll < 0.12:
+            result = _result(port, success=False)
+        else:
+            if roll < 0.3:
+                versions[(host, port)] = versions.get((host, port), 0) + 1
+            result = _result(port, version=versions.setdefault((host, port), 1))
+        stream.append(ScanObservation(host, 0.001 * i, port, "tcp", result))
+    return stream
+
+
+def platform_serving_digest(plat):
+    h = hashlib.sha256()
+    for ip in range(8, 72):
+        h.update(json.dumps(plat.lookup_host(ip), sort_keys=True, default=str).encode())
+    for doc_id, doc in plat.index.items():
+        h.update(json.dumps({doc_id: doc}, sort_keys=True, default=str).encode())
+    for query in ("services.protocol: HTTP", "services.port: 22", "services.port > 100"):
+        h.update(repr(plat.search(query)).encode())
+    return h.hexdigest()
+
+
+class TestOneChunkEqualsManySingles:
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_ingest_many_chunk_matches_256_single_calls(self, shards, executor, tmp_path):
+        chunked = idle_platform(tmp_path, "chunked", shards=shards, executor=executor)
+        singles = idle_platform(tmp_path, "singles", shards=shards, executor=executor)
+        try:
+            stream = platform_stream(chunked)
+            kinds = chunked.ingest_many(stream)
+            kinds_single = [singles.ingest_many([obs])[0] for obs in stream]
+            assert kinds == kinds_single
+            records = [j.wal.stats.records for j in chunked.journal.journals]
+            assert records == [1] * shards  # the chunk: one record per shard
+            assert sum(j.wal.stats.records for j in singles.journal.journals) == sum(
+                kind is not None for kind in kinds_single
+            )
+            for plat in (chunked, singles):
+                plat.tick(1.0)
+            assert sharded_fingerprint(chunked.journal) == sharded_fingerprint(singles.journal)
+            assert dataclasses.asdict(chunked.write_side.stats) == dataclasses.asdict(
+                singles.write_side.stats
+            )
+            assert platform_serving_digest(chunked) == platform_serving_digest(singles)
+        finally:
+            chunked.close()
+            singles.close()
