@@ -97,9 +97,10 @@ class PlatformConfig:
     #: Directory for per-shard write-ahead logs (None = in-memory journal).
     wal_dir: Optional[str] = None
     #: Group-commit window for durable shards: fsync after this many WAL
-    #: batches (1 = fsync-per-batch, the reference).  Windows are always
-    #: flushed before replication ships or subscriptions deliver, so the
-    #: zero-acked-write-loss guarantee is unchanged at any size.
+    #: batches (1 = fsync-per-batch, the reference).  Inside a tick the
+    #: window is what a crash can lose; every tick (and every
+    #: ``ingest_many``) ends with a flush, before replication ships or
+    #: subscriptions deliver, so zero acked-write loss holds at any size.
     group_commit_events: int = 1
     #: Byte bound on the group-commit window (None = event bound only).
     group_commit_bytes: Optional[int] = None
@@ -353,12 +354,13 @@ class CensysPlatform:
         now = self.clock.now
         self.interrogation.advance(now, dt)
         # Pump the bus first — consumers journal too (the certificate
-        # processor appends CERT_OBSERVED on TLS messages) — then make the
-        # whole tick's writes durable before anything acts on them:
-        # replication must not ship and subscriptions must not deliver an
-        # event whose covering fsync has not happened yet.
+        # processor appends CERT_OBSERVED on TLS messages) — then ack: the
+        # drain above only committed into the group-commit windows, and
+        # this flush makes the whole tick's writes durable before anything
+        # acts on them.  Replication must not ship and subscriptions must
+        # not deliver an event whose covering fsync has not happened yet.
         self.ingest.pump()
-        self.journal.flush_commit_windows()
+        self.ingest.ack()
         if self.replication is not None:
             self.replication.pump()
         self.derivation.advance()
@@ -378,7 +380,7 @@ class CensysPlatform:
         self.ingest.evict_due(now, self.scheduler, self.predictive)
         self.derivation.daily(now)
         self.ingest.pump()
-        self.journal.flush_commit_windows()
+        self.ingest.ack()
         if self.replication is not None:
             self.replication.pump()
         self.derivation.advance()
@@ -432,10 +434,13 @@ class CensysPlatform:
         Observations are shard-grouped and whole groups ingest through the
         configured executor; the result list is per-observation journal
         event kinds, in input order, bit-identical to submitting one at a
-        time.  All group-commit windows are flushed before returning, so
-        every acked observation is durable.
+        time.  This is the one place a caller is handed an ack, so all
+        group-commit windows are flushed before returning: every acked
+        observation is durable.
         """
-        return self.ingest.submit_many(observations, executor=self.executor)
+        kinds = self.ingest.submit_many(observations, executor=self.executor)
+        self.ingest.ack()
+        return kinds
 
     def request_scan(self, ip_index: int, port: int, transport: str = "tcp") -> None:
         """Real-time user scan requests jump the queue."""

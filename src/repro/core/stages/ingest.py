@@ -38,13 +38,16 @@ class IngestStage:
             events_journaled=0,
             #: Events journaled through the batched fast path (submit_many).
             batched_events=0,
-            #: WAL fsyncs taken during batched ingest — each one covers a
-            #: whole group-commit window, so batched_events / group_commits
-            #: is the realized fsync amortization.
+            #: WAL fsyncs that made batched events durable: windows that
+            #: filled inside a submit_many plus the flushes of the :meth:`ack`
+            #: that followed one.  batched_events / group_commits is the
+            #: realized fsync amortization.
             group_commits=0,
             messages_pumped=0,
             evictions=0,
         )
+        #: Batched events journaled since the last :meth:`ack`.
+        self._batched_unacked = False
 
     # -- write path ----------------------------------------------------------
 
@@ -61,11 +64,13 @@ class IngestStage:
         observations: Sequence[ScanObservation],
         executor: Optional[object] = None,
     ) -> List[Optional[str]]:
-        """Batched ingest through ``WriteSideProcessor.submit_many``.
+        """Batched ingest: one chunk commit per call, acked by :meth:`ack`.
 
         Bit-identical to calling :meth:`submit` per observation; with a
         fault injector attached it literally does that (retry and crash
-        schedules are defined against per-observation processing).
+        schedules are defined against per-observation processing).  Like
+        :meth:`submit` it commits into the group-commit window and leaves
+        the covering fsync to the window bound or the next :meth:`ack`.
         """
         observations = list(observations)
         if not observations:
@@ -74,13 +79,31 @@ class IngestStage:
             return [self.submit(obs) for obs in observations]
         before_events = self.journal.stats.events
         before_fsyncs = self._wal_fsyncs()
-        kinds = self.write_side.submit_many(observations, executor=executor)
+        kinds = self.write_side.submit_chunk(observations, executor)
         journaled = self.journal.stats.events - before_events
         self.counters.bump("observations_ingested", len(observations))
         self.counters.bump("events_journaled", journaled)
         self.counters.bump("batched_events", journaled)
         self.counters.bump("group_commits", self._wal_fsyncs() - before_fsyncs)
+        if journaled:
+            self._batched_unacked = True
         return kinds
+
+    def ack(self) -> None:
+        """Make everything submitted so far durable: the ack point.
+
+        Flushes every shard's open group-commit window, which is also what
+        releases the commit listeners (replication shipping, subscription
+        feeds).  ``tick()`` calls it once after the pump and
+        ``CensysPlatform.ingest_many`` before it returns, so an acked tick
+        is a durable tick and an acked batch a durable batch; between acks
+        the window bounds bound what a crash can lose.
+        """
+        before_fsyncs = self._wal_fsyncs()
+        self.journal.flush_commit_windows()
+        if self._batched_unacked:
+            self.counters.bump("group_commits", self._wal_fsyncs() - before_fsyncs)
+            self._batched_unacked = False
 
     def _wal_fsyncs(self) -> int:
         journals = getattr(self.journal, "journals", None)
@@ -98,9 +121,9 @@ class IngestStage:
 
         Consumers journal too (the certificate processor appends on TLS
         messages); everything one pump appends commits as one WAL batch
-        per shard.  The caller flushes the commit windows afterwards, so
-        the batch is fsynced — and only then visible to commit listeners —
-        before replication ships or subscriptions deliver.
+        per shard.  The caller then calls :meth:`ack`, so the batch is
+        fsynced — and only then visible to commit listeners — before
+        replication ships or subscriptions deliver.
         """
         with self.journal.transaction():
             delivered = self.bus.pump()

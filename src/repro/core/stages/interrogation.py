@@ -18,6 +18,7 @@ from repro.core.stages.ingest import IngestStage
 from repro.net import ip_to_str
 from repro.pipeline import ScanObservation, host_entity_id
 from repro.protocols import Interrogator
+from repro.protocols.interrogate import InterrogationResult
 from repro.scan import PredictiveEngine, ScanCandidate, ScanQueue
 from repro.scan.exclusions import ExclusionList
 from repro.scan.pop import PointOfPresence
@@ -53,6 +54,8 @@ class InterrogationStage:
         self.interrogator = interrogator
         self.queue = queue
         self.pops = pops
+        self._pop_names = [p.name for p in pops]
+        self._pop_by_name = {p.name: p for p in pops}
         self.exclusions = exclusions
         self.scheduler = scheduler
         self.predictive = predictive
@@ -115,19 +118,16 @@ class InterrogationStage:
     def _pop_for(self, candidate: ScanCandidate) -> PointOfPresence:
         if candidate.source == "refresh":
             untried = self.scheduler.untried_pop(
-                candidate.ip_index, candidate.port, candidate.transport,
-                [p.name for p in self.pops],
+                candidate.ip_index, candidate.port, candidate.transport, self._pop_names
             )
             if untried is not None:
-                for pop in self.pops:
-                    if pop.name == untried:
-                        return pop
+                return self._pop_by_name[untried]
         # Rotate the serving PoP over time so an endpoint invisible from one
         # vantage (geoblocking, routing anomaly) is retried from the others.
         day = int(candidate.not_before // 24.0)
         return self.pops[(candidate.ip_index + candidate.port + day) % len(self.pops)]
 
-    def _observe(self, candidate: ScanCandidate, t: float):
+    def _observe(self, candidate: ScanCandidate, t: float, entity: str):
         """Connect and interrogate one candidate; no journal interaction."""
         pop = self._pop_for(candidate)
         conn = self.internet.connect(
@@ -135,8 +135,6 @@ class InterrogationStage:
             transport=candidate.transport, scanner=self.scanner_id,
         )
         if conn is None:
-            from repro.protocols.interrogate import InterrogationResult
-
             result = InterrogationResult(port=candidate.port, transport=candidate.transport, success=False)
             self.counters.bump("connect_failures")
         elif candidate.expected_protocol:
@@ -144,12 +142,11 @@ class InterrogationStage:
             self.counters.bump("refresh_fastpaths")
         else:
             result = self.interrogator.interrogate(conn)
-        entity = self.entity_for_ip(candidate.ip_index)
         obs = ScanObservation(
             entity_id=entity, time=t, port=candidate.port,
             transport=candidate.transport, result=result, source=candidate.source,
         )
-        return pop, entity, obs
+        return pop, obs
 
     def _bookkeep(self, candidate: ScanCandidate, t: float, pop, entity: str, obs) -> None:
         """The post-ingest scheduler/predictive feedback for one candidate."""
@@ -184,7 +181,8 @@ class InterrogationStage:
         if self.exclusions.is_excluded(candidate.ip_index, t):
             self._purge_excluded(candidate.ip_index, t)
             return
-        pop, entity, obs = self._observe(candidate, t)
+        entity = self.entity_for_ip(candidate.ip_index)
+        pop, obs = self._observe(candidate, t, entity)
         self.ingest.submit(obs)
         self._bookkeep(candidate, t, pop, entity, obs)
 
@@ -221,7 +219,7 @@ class InterrogationStage:
             entity = self.entity_for_ip(candidate.ip_index)
             if entity in chunk_entities or len(chunk) >= self.ingest_batch:
                 flush()
-            pop, entity, obs = self._observe(candidate, t)
+            pop, obs = self._observe(candidate, t, entity)
             chunk.append((candidate, t, pop, entity, obs))
             chunk_entities.add(entity)
         flush()
@@ -262,8 +260,6 @@ class InterrogationStage:
         else:
             result = self.interrogator.interrogate(conn)
         if result is None or not result.success:
-            from repro.protocols.interrogate import InterrogationResult
-
             result = InterrogationResult(port=conn.port if conn else 443, transport="tcp", success=False)
         obs = ScanObservation(
             entity_id=f"host6:{address}", time=now, port=result.port,

@@ -55,6 +55,7 @@ class ProbeSpace:
         if not cleaned:
             raise ValueError("a probe space needs at least one address")
         self._intervals = cleaned
+        self._starts: List[int] = [start for start, _ in cleaned]
         self._ports = tuple(ports)
         self._port_pos: Dict[int, int] = {p: i for i, p in enumerate(self._ports)}
         if len(self._port_pos) != len(self._ports):
@@ -86,7 +87,7 @@ class ProbeSpace:
         return list(self._intervals)
 
     def contains_ip(self, ip_index: int) -> bool:
-        i = bisect_right([s for s, _ in self._intervals], ip_index) - 1
+        i = bisect_right(self._starts, ip_index) - 1
         return i >= 0 and ip_index < self._intervals[i][1]
 
     def contains_port(self, port: int) -> bool:
@@ -96,8 +97,7 @@ class ProbeSpace:
         return self.contains_port(target.port) and self.contains_ip(target.ip_index)
 
     def _ip_ordinal(self, ip_index: int) -> int:
-        starts = [s for s, _ in self._intervals]
-        i = bisect_right(starts, ip_index) - 1
+        i = bisect_right(self._starts, ip_index) - 1
         if i < 0 or ip_index >= self._intervals[i][1]:
             raise ValueError(f"ip index {ip_index} outside probe space")
         return self._cum[i] + (ip_index - self._intervals[i][0])

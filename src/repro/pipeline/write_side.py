@@ -155,19 +155,28 @@ class WriteSideProcessor:
         schedules are keyed to global per-observation commit ranges.
 
         Any open group-commit windows are flushed before returning:
-        an acked batch is a durable batch.
+        an acked batch is a durable batch.  A caller that gives its own
+        ack later (the interrogation drain, acked by the tick) commits
+        through :meth:`submit_chunk` instead.
         """
         observations = list(observations)
         if not observations:
             return []
-        results = self._submit_chunk(observations, executor)
+        results = self.submit_chunk(observations, executor)
         if self._flush_commit_windows is not None:
             self._flush_commit_windows()
         return results
 
-    def _submit_chunk(
-        self, observations: List[ScanObservation], executor: Optional[Any]
+    def submit_chunk(
+        self, observations: List[ScanObservation], executor: Optional[Any] = None
     ) -> List[Optional[str]]:
+        """Commit one chunk into the group-commit window, without the ack.
+
+        Everything :meth:`submit_many` does except the flush: the chunk's
+        records reach the WAL file, but their covering fsync — and with it
+        the commit listeners — waits for the window to fill or for the
+        caller's own flush.  Until then a crash may lose the chunk.
+        """
         if self.faults is not None:
             # Crash points and retry schedules are keyed to per-observation
             # commit ranges: one transaction each, so chaos scenarios mean

@@ -139,6 +139,14 @@ class ProtocolSpec:
     server_initiated: bool = False
     #: True for industrial-control protocols (Table 4 census).
     is_ics: bool = False
+    #: What :meth:`fingerprint` can possibly match on, declared so the
+    #: detector can dispatch on a reply's shape instead of trying every
+    #: spec.  Soundness contract: ``fingerprint(reply)`` implies
+    #: ``reply.kind in fingerprint_kinds`` or some name in
+    #: ``fingerprint_fields`` is a key of ``reply.fields``.  A spec that
+    #: declares neither is a candidate for every reply.
+    fingerprint_kinds: Sequence[str] = ()
+    fingerprint_fields: Sequence[str] = ()
 
     # ------------------------------------------------------------------
     # Server side

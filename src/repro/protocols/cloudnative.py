@@ -29,6 +29,7 @@ class ElasticsearchSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (9200,)
     server_initiated = False
+    fingerprint_fields = ("es_tagline",)
 
     def make_profile(self, rng) -> ServerProfile:
         version = pick(rng, ["6.8.23", "7.17.9", "8.9.1"])
@@ -80,6 +81,8 @@ class MemcachedSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (11211,)
     server_initiated = False
+    fingerprint_kinds = ("memcached-stats-response",)
+    fingerprint_fields = ("error",)
 
     def make_profile(self, rng) -> ServerProfile:
         version = pick(rng, ["1.5.22", "1.6.17", "1.6.21"])
@@ -123,6 +126,7 @@ class DockerApiSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (2375, 2376)
     server_initiated = False
+    fingerprint_fields = ("docker_api",)
 
     def make_profile(self, rng) -> ServerProfile:
         version = pick(rng, ["20.10.24", "24.0.6", "25.0.0"])
@@ -169,6 +173,7 @@ class KubernetesApiSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (6443, 10250)
     server_initiated = False
+    fingerprint_fields = ("k8s_api",)
 
     def make_profile(self, rng) -> ServerProfile:
         version = pick(rng, ["v1.25.14", "v1.27.6", "v1.28.2"])
@@ -218,6 +223,7 @@ class AmqpSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (5672,)
     server_initiated = False
+    fingerprint_kinds = ("amqp-connection-start",)
 
     def make_profile(self, rng) -> ServerProfile:
         version = pick(rng, ["3.8.34", "3.11.23", "3.12.6"])
@@ -260,6 +266,7 @@ class CassandraSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (9042,)
     server_initiated = False
+    fingerprint_kinds = ("cql-supported",)
 
     def make_profile(self, rng) -> ServerProfile:
         version = pick(rng, ["3.11.13", "4.0.7", "4.1.3"])

@@ -19,6 +19,7 @@ class MysqlSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (3306, 33060)
     server_initiated = True
+    fingerprint_kinds = ("mysql-handshake", "mysql-error")
 
     def make_profile(self, rng) -> ServerProfile:
         flavor, versions = pick(
@@ -81,6 +82,7 @@ class PostgresSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (5432,)
     server_initiated = False
+    fingerprint_kinds = ("postgres-ssl-response", "postgres-auth-request")
 
     def make_profile(self, rng) -> ServerProfile:
         version = pick(rng, ["12.15", "14.9", "15.4", "16.0"])
@@ -125,6 +127,7 @@ class RedisSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (6379,)
     server_initiated = False
+    fingerprint_fields = ("response", "error")
 
     def make_profile(self, rng) -> ServerProfile:
         version = pick(rng, ["5.0.7", "6.2.13", "7.0.12", "7.2.1"])
@@ -178,6 +181,7 @@ class MongoSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (27017, 27018)
     server_initiated = False
+    fingerprint_kinds = ("mongo-ismaster-response",)
 
     def make_profile(self, rng) -> ServerProfile:
         version = pick(rng, ["4.4.22", "5.0.19", "6.0.8", "7.0.1"])
@@ -218,6 +222,7 @@ class MqttSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (1883, 8883)
     server_initiated = False
+    fingerprint_kinds = ("mqtt-connack",)
 
     def make_profile(self, rng) -> ServerProfile:
         version = pick(rng, ["1.6.9", "2.0.15", "2.0.18"])

@@ -12,17 +12,29 @@ Given an established L4 connection, the detector:
 
 The detector identifies protocols exclusively from observable reply fields
 via :meth:`ProtocolSpec.fingerprint`; it never reads the ground-truth tag.
+
+Which fingerprints a reply is checked against is decided by its *shape* —
+its kind and the names of the fields it carries — the message-level
+analogue of LZR's observation that the first bytes of a response select the
+few handshakes worth trying.  Each spec declares the kinds and field names
+its fingerprint can match on (``ProtocolSpec.fingerprint_kinds`` /
+``fingerprint_fields``); a reply only meets the specs anchored on its
+shape, in the same order the full scan would have tried them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Protocol
+from typing import Any, Dict, FrozenSet, List, Optional, Protocol, Tuple
 
-from repro.protocols.base import Probe, Reply
+from repro.protocols.base import Probe, ProtocolSpec, Reply
 from repro.protocols.registry import ProtocolRegistry
 
 __all__ = ["Connection", "DetectionResult", "ProtocolDetector"]
+
+#: Bound on memoised reply shapes, so replies with made-up field names
+#: cannot grow the memo without limit; past it, shapes are recomputed.
+_MAX_SHAPES = 4096
 
 
 class Connection(Protocol):
@@ -74,6 +86,15 @@ class ProtocolDetector:
         self._ordered = sorted(
             registry.specs, key=lambda spec: (spec.name == "HTTP", spec.name)
         )
+        #: (spec, declared kinds, declared field names), in ``_ordered`` rank.
+        self._anchors = [
+            (spec, frozenset(spec.fingerprint_kinds), frozenset(spec.fingerprint_fields))
+            for spec in self._ordered
+        ]
+        #: Reply shape -> the specs whose fingerprint can match it.  Keys
+        #: hold names only, never values: the catalogue's whole reply
+        #: vocabulary is ~90 shapes.
+        self._candidates: Dict[Tuple[str, FrozenSet[str]], Tuple[ProtocolSpec, ...]] = {}
 
     def detect(self, conn: Connection) -> DetectionResult:
         result = DetectionResult(protocol=None)
@@ -125,12 +146,33 @@ class ProtocolDetector:
                 return True
         return False
 
+    def _candidates_for(self, reply: Reply) -> Tuple[ProtocolSpec, ...]:
+        """The specs anchored on ``reply``'s shape, in ``_ordered`` rank.
+
+        A spec is a candidate when it declares the reply's kind, declares
+        one of the field names the reply carries, or declares nothing at
+        all (an undeclared spec is checked against everything, exactly as
+        before the index).  By the soundness contract on the declarations
+        no other spec's ``fingerprint`` can return True for this reply.
+        """
+        kind, names = reply.kind, frozenset(reply.fields)
+        candidates = self._candidates.get((kind, names))
+        if candidates is None:
+            candidates = tuple(
+                spec
+                for spec, kinds, fields in self._anchors
+                if kind in kinds or not names.isdisjoint(fields) or not (kinds or fields)
+            )
+            if len(self._candidates) < _MAX_SHAPES:
+                self._candidates[(kind, names)] = candidates
+        return candidates
+
     def _note(self, reply: Reply, result: DetectionResult) -> bool:
-        """Record a reply and check it against every fingerprint."""
+        """Record a reply and check it against the fingerprints its shape selects."""
         if not reply.has_data:
             return False
         result.observed.append(reply)
-        for spec in self._ordered:
+        for spec in self._candidates_for(reply):
             if spec.fingerprint(reply):
                 result.protocol = spec.name
                 result.evidence = reply

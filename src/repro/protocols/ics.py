@@ -38,6 +38,7 @@ class IcsSpec(ProtocolSpec):
         self.transport = transport
         self._devices = list(devices)
         self._handshake_kind = f"{name.lower()}-handshake"
+        self.fingerprint_kinds = (f"{name.lower()}-identity",)
 
     def make_profile(self, rng) -> ServerProfile:
         vendor, product, versions = pick(rng, self._devices)
@@ -97,6 +98,9 @@ class ModbusSpec(IcsSpec):
                 ("moxa", "mgate_mb3170", ("4.1",)),
                 ("generic", "modbus_gateway", ("1.0",)),
             ],
+        )
+        self.fingerprint_kinds = (
+            "modbus-identity", "modbus-device-id-response", "modbus-exception",
         )
 
     def respond(self, profile: ServerProfile, probe: Probe) -> Reply:

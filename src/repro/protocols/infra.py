@@ -29,6 +29,7 @@ class FtpSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (21, 2121)
     server_initiated = True
+    fingerprint_fields = ("banner", "error")
 
     _SOFTWARE = [
         ("vsftpd", "vsftpd", ("3.0.3", "3.0.5"), "220 (vsFTPd {v})"),
@@ -83,6 +84,7 @@ class DnsSpec(ProtocolSpec):
     transport = "udp"
     default_ports = (53,)
     server_initiated = False
+    fingerprint_kinds = ("dns-response", "dns-txt")
 
     def make_profile(self, rng) -> ServerProfile:
         vendor, product, versions = pick(
@@ -138,6 +140,7 @@ class NtpSpec(ProtocolSpec):
     transport = "udp"
     default_ports = (123,)
     server_initiated = False
+    fingerprint_kinds = ("ntp-response", "ntp-monlist-response")
 
     def make_profile(self, rng) -> ServerProfile:
         version = pick(rng, ["4.2.8p15", "4.2.8p17"])
@@ -175,6 +178,7 @@ class SnmpSpec(ProtocolSpec):
     transport = "udp"
     default_ports = (161,)
     server_initiated = False
+    fingerprint_kinds = ("snmp-response",)
 
     def make_profile(self, rng) -> ServerProfile:
         sysdescr = pick(
@@ -216,6 +220,7 @@ class SipSpec(ProtocolSpec):
     transport = "udp"
     default_ports = (5060, 5061)
     server_initiated = False
+    fingerprint_kinds = ("sip-response",)
 
     def make_profile(self, rng) -> ServerProfile:
         vendor, product, versions = pick(
@@ -259,6 +264,7 @@ class TftpSpec(ProtocolSpec):
     transport = "udp"
     default_ports = (69,)
     server_initiated = False
+    fingerprint_kinds = ("tftp-data", "tftp-error")
 
     def make_profile(self, rng) -> ServerProfile:
         return ServerProfile(self.name, ("generic", "tftpd", "5.2"), {"allows_read": rng.random() < 0.4})
@@ -288,6 +294,7 @@ class UpnpSpec(ProtocolSpec):
     transport = "udp"
     default_ports = (1900,)
     server_initiated = False
+    fingerprint_kinds = ("ssdp-response",)
 
     def make_profile(self, rng) -> ServerProfile:
         server = pick(
@@ -328,6 +335,7 @@ class LdapSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (389, 636)
     server_initiated = False
+    fingerprint_kinds = ("ldap-search-result",)
 
     def make_profile(self, rng) -> ServerProfile:
         vendor, product = pick(rng, [("openldap", "openldap"), ("microsoft", "active_directory")])
@@ -369,6 +377,7 @@ class SmbSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (445, 139)
     server_initiated = False
+    fingerprint_kinds = ("smb-negotiate-response",)
 
     def make_profile(self, rng) -> ServerProfile:
         dialect = pick(rng, ["2.1", "3.0", "3.1.1"])

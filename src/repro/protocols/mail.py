@@ -19,6 +19,7 @@ class SmtpSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (25, 587, 465, 2525)
     server_initiated = True
+    fingerprint_fields = ("banner", "error")
 
     _SOFTWARE = [
         ("postfix", "postfix", ("3.4.13", "3.6.4"), "220 {host} ESMTP Postfix"),
@@ -80,6 +81,7 @@ class Pop3Spec(ProtocolSpec):
     transport = "tcp"
     default_ports = (110, 995)
     server_initiated = True
+    fingerprint_fields = ("banner", "error")
 
     def make_profile(self, rng) -> ServerProfile:
         product = pick(rng, ["dovecot", "courier"])
@@ -122,6 +124,7 @@ class ImapSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (143, 993)
     server_initiated = True
+    fingerprint_fields = ("banner", "error")
 
     def make_profile(self, rng) -> ServerProfile:
         version = pick(rng, ["2.3.16", "2.3.21"])

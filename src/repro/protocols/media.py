@@ -19,6 +19,7 @@ class RtspSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (554, 8554)
     server_initiated = False
+    fingerprint_fields = ("rtsp_status",)
 
     _SOFTWARE = [
         ("hikvision", "rtsp_server", "1.0", "Hikvision RTSP Server"),
@@ -74,6 +75,7 @@ class Socks5Spec(ProtocolSpec):
     transport = "tcp"
     default_ports = (1080,)
     server_initiated = False
+    fingerprint_fields = ("socks_version",)
 
     def make_profile(self, rng) -> ServerProfile:
         open_proxy = rng.random() < 0.4
@@ -112,6 +114,7 @@ class RsyncSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (873,)
     server_initiated = True
+    fingerprint_fields = ("banner",)
 
     def make_profile(self, rng) -> ServerProfile:
         version = pick(rng, ["31.0", "30.0"])
@@ -156,6 +159,7 @@ class WinrmSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (5985, 5986)
     server_initiated = False
+    fingerprint_fields = ("wsman",)
 
     def make_profile(self, rng) -> ServerProfile:
         version = pick(rng, ["10.0.17763", "10.0.20348"])

@@ -21,6 +21,8 @@ class IppSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (631,)
     server_initiated = False
+    fingerprint_kinds = ("ipp-attributes",)
+    fingerprint_fields = ("ipp",)
 
     _PRINTERS = [
         ("hp", "laserjet_m404", ("002_2310A",)),
@@ -81,6 +83,7 @@ class JetDirectSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (9100,)
     server_initiated = False
+    fingerprint_kinds = ("pjl-id",)
 
     def make_profile(self, rng) -> ServerProfile:
         model = pick(rng, ["HP LASERJET 4250", "HP LASERJET M605", "HP COLOR LASERJET M553"])
@@ -120,6 +123,7 @@ class LpdSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (515,)
     server_initiated = False
+    fingerprint_kinds = ("lpd-queue",)
 
     def make_profile(self, rng) -> ServerProfile:
         queue = pick(rng, ["lp", "raw", "PASSTHRU"])

@@ -40,6 +40,7 @@ class SshSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (22, 2222, 22222)
     server_initiated = True
+    fingerprint_fields = ("banner",)
 
     def make_profile(self, rng) -> ServerProfile:
         vendor, product, versions, banner_format = pick(rng, _SSH_SOFTWARE)
@@ -96,6 +97,7 @@ class TelnetSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (23, 2323)
     server_initiated = True
+    fingerprint_fields = ("iac_negotiation", "banner")
 
     _BANNERS = [
         ("busybox", "telnetd", "1.31.0", "login: "),
@@ -142,6 +144,7 @@ class RdpSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (3389, 3388)
     server_initiated = False
+    fingerprint_kinds = ("rdp-connect-confirm",)
 
     def make_profile(self, rng) -> ServerProfile:
         version = pick(rng, ["10.0.17763", "10.0.19041", "10.0.20348", "6.3.9600"])
@@ -189,6 +192,7 @@ class VncSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (5900, 5901)
     server_initiated = True
+    fingerprint_fields = ("banner",)
 
     def make_profile(self, rng) -> ServerProfile:
         rfb = pick(rng, ["RFB 003.003", "RFB 003.008"])
@@ -234,6 +238,7 @@ class RloginSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (513,)
     server_initiated = False
+    fingerprint_kinds = ("rlogin-prompt",)
 
     def make_profile(self, rng) -> ServerProfile:
         return ServerProfile(self.name, ("bsd", "rlogind", "1.0"), {"prompt": "Password: "})
@@ -260,6 +265,7 @@ class X11Spec(ProtocolSpec):
     transport = "tcp"
     default_ports = (6000, 6001)
     server_initiated = False
+    fingerprint_kinds = ("x11-setup-success", "x11-setup-failed")
 
     def make_profile(self, rng) -> ServerProfile:
         release = pick(rng, ["11.0", "12101004"])

@@ -217,6 +217,7 @@ class HttpSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (80, 8080, 8000, 8888, 81, 8081, 591, 7547, 2082, 60000)
     server_initiated = False
+    fingerprint_kinds = ("http-response",)
 
     def make_profile(self, rng) -> ServerProfile:
         entry = weighted_pick(rng, [(e, e["weight"]) for e in WEB_SOFTWARE_CATALOG])

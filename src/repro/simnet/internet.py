@@ -20,11 +20,13 @@ regular instances in one block, all pseudo-host (ip, port) rows merged into
 a second — so a segment query is a pair of binary searches per block plus
 whole-array liveness/reachability masks, with ``ProbeHit`` objects
 materialized only for survivors.  Reachability draws run through the
-vectorized splitmix64 kernel in :mod:`repro.net.mixvec`.  The scalar
-per-element paths are retained (:meth:`PreparedScanIndex.query_reference`,
-:meth:`SimulatedInternet.reachable_scalar`) as references;
-``benchmarks/test_perf_regression.py`` holds the two equal on seeded
-inputs.
+vectorized splitmix64 kernel in :mod:`repro.net.mixvec`.  One address
+at a time (every L7 connect) runs the scalar physics in
+:meth:`SimulatedInternet.reachable` instead — a 1-element trip through
+the array kernel costs ~12x as much — and that scalar body doubles as
+the kernel's reference, as :meth:`PreparedScanIndex.query_reference`
+does for segment queries; ``benchmarks/test_perf_regression.py`` holds
+each pair equal on seeded inputs.
 
 Honeypot contacts are logged with the observing engine's identity, feeding
 the Table 5 time-to-discovery experiment.
@@ -417,7 +419,7 @@ class PreparedScanIndex:
                 probe_time = t0 + offset_of(int(cols.positions[i])) / rate
                 if not inst.alive_at(probe_time):
                     continue
-                if not internet.reachable_scalar(inst.ip_index, vantage, probe_time, salt=inst.instance_id):
+                if not internet.reachable(inst.ip_index, vantage, probe_time, salt=inst.instance_id):
                     continue
                 hits.append(ProbeHit(ProbeTarget(inst.ip_index, inst.port), probe_time, instance=inst))
                 if inst.is_honeypot and log_contacts:
@@ -434,7 +436,7 @@ class PreparedScanIndex:
                     probe_time = t0 + offset_of(int(pseudo_cols.positions[j])) / rate
                     if not pseudo.alive_at(probe_time):
                         continue
-                    if not internet.reachable_scalar(
+                    if not internet.reachable(
                         pseudo.ip_index, vantage, probe_time, salt=-pseudo.pseudo_id - 1
                     ):
                         continue
@@ -721,11 +723,16 @@ class SimulatedInternet:
         return self._reachable_kernel(net_ords, np.atleast_1d(salts_u), vantage, times_arr)
 
     def reachable(self, ip_index: int, vantage: Vantage, t: float, salt: int = 0) -> bool:
-        """Whether a probe from ``vantage`` reaches ``ip_index`` at ``t``."""
-        return bool(self.reachable_many([ip_index], vantage, [t], [salt])[0])
+        """Whether a probe from ``vantage`` reaches ``ip_index`` at ``t``.
 
-    def reachable_scalar(self, ip_index: int, vantage: Vantage, t: float, salt: int = 0) -> bool:
-        """Retained pure-Python reference for the vectorized kernel."""
+        The scalar physics, one address at a time: a bisect for the owning
+        network, the region check, and two splitmix64 draws (weekly routing
+        block, 6-hourly loss).  :meth:`reachable_many` is the same physics
+        over arrays; pushing one element through it costs ~12x this body,
+        so the per-candidate callers (``connect``, ``connect_v6``) stay
+        here.  ``_mix64`` masks to 64 bits, so a negative pseudo-host salt
+        draws as the kernel's two's-complement view of it.
+        """
         network = self.topology.network_of(ip_index)
         if vantage.region in network.blocked_regions:
             return False
@@ -736,6 +743,10 @@ class SimulatedInternet:
         window = int(t // 6.0)  # transient loss re-rolls every 6 hours
         loss_draw = _mix64(self.seed ^ salt * 0xC2B2 ^ vantage.vantage_id * 0x85EB ^ window)
         return (loss_draw % 10_000) >= vantage.loss_rate * 10_000
+
+    #: The name the equality gates import (``tests/test_vectorized_kernels.py``,
+    #: ``benchmarks/test_perf_regression.py``); one body, two names.
+    reachable_scalar = reachable
 
     # -- connections ----------------------------------------------------------
 

@@ -352,11 +352,20 @@ def serving_digest(plat):
 
 
 class TestPlatformBatchingInvariance:
-    def test_batched_platform_matches_per_event_reference(self, tmp_path):
+    @pytest.mark.parametrize(
+        "batch, window, window_bytes",
+        [(8, 16, 1 << 16), (64, 64, None), (64, 1 << 20, None)],
+        ids=["batch8-window16", "batch64-window64", "batch64-window-never-fills"],
+    )
+    def test_batched_platform_matches_per_event_reference(
+        self, batch, window, window_bytes, tmp_path
+    ):
+        """Journal, documents, answers and notifications of a batched,
+        group-committed platform equal the batch 1 / window 1 twin's."""
         ref = run_platform(tmp_path, "ref", ingest_batch=1, group_commit_events=1)
         fast = run_platform(
             tmp_path, "fast",
-            ingest_batch=8, group_commit_events=16, group_commit_bytes=1 << 16,
+            ingest_batch=batch, group_commit_events=window, group_commit_bytes=window_bytes,
         )
         try:
             assert serving_digest(fast) == serving_digest(ref)
@@ -365,8 +374,18 @@ class TestPlatformBatchingInvariance:
             ingest = fast.traffic_report()["stages"]["ingest"]
             assert ingest["batched_events"] > 0
             assert 0 < ingest["group_commits"] < ingest["batched_events"]
+            wals = [j.wal for j in fast.journal.journals]
+            assert ingest["group_commits"] <= sum(wal.stats.fsyncs for wal in wals)
+            if window > max(wal.stats.records for wal in wals):
+                # No window can have filled: every counted group commit is
+                # an ack-time flush — at most one per shard per flush point
+                # (16 ticks + 4 daily housekeeping passes) — or a segment
+                # rotation's pair of close-path fsyncs.
+                rotations = sum(wal.stats.segments - 1 for wal in wals)
+                assert ingest["group_commits"] <= len(wals) * (16 + 4) + 2 * rotations
             ref_ingest = ref.traffic_report()["stages"]["ingest"]
             assert ref_ingest["batched_events"] == 0  # per-event reference
+            assert ref_ingest["group_commits"] == 0
             assert ingest["events_journaled"] == ref_ingest["events_journaled"]
         finally:
             ref.close()
@@ -414,6 +433,181 @@ class TestPlatformBatchingInvariance:
             assert plat.subscriptions.events_seen > 0
         finally:
             plat.close()
+
+
+# ---------------------------------------------------------------------------
+# The ack unit: the drain commits into the window, the tick gives the ack
+# ---------------------------------------------------------------------------
+
+
+def open_windows(journal):
+    """Shard WALs holding records (or callbacks) no fsync has covered yet."""
+    return [
+        shard for shard, j in enumerate(journal.journals)
+        if j.wal._records_since_fsync or j.wal._pending_durable
+    ]
+
+
+class TestTickGranularAck:
+    def test_an_acked_tick_is_a_durable_tick(self, tmp_path):
+        """Mid-drain the windows stay open (no ack-time fsync per chunk);
+        a commit listener still never sees a record before its covering
+        fsync; and when ``tick()`` returns no shard has an open window and
+        every journaled record has reached its listener."""
+        plat = CensysPlatform(
+            small_world(),
+            PlatformConfig(
+                predictive_daily_budget=300, seed=6, shards=2,
+                wal_dir=str(tmp_path / "wal"), ingest_batch=64, group_commit_events=64,
+            ),
+            start_time=-2 * DAY,
+        )
+        delivered = [0] * plat.journal.shard_map.shards
+        for shard, shard_journal in enumerate(plat.journal.journals):
+            def listener(events, shard=shard, wal=shard_journal.wal):
+                # The covering fsync resets the window before it drains
+                # the callbacks: a listener inside an open window would
+                # be seeing un-fsynced records.
+                assert wal._records_since_fsync == 0
+                delivered[shard] += len(events)
+
+            shard_journal.commit_listener = listener
+        open_after_chunk = []
+        submit_many = plat.ingest.submit_many
+
+        def recording_submit_many(observations, executor=None):
+            kinds = submit_many(observations, executor=executor)
+            open_after_chunk.append(bool(open_windows(plat.journal)))
+            return kinds
+
+        plat.ingest.submit_many = recording_submit_many
+        try:
+            for _ in range(8):
+                plat.tick(6.0)
+                assert open_windows(plat.journal) == []
+                assert delivered == [j.stats.wal_events for j in plat.journal.journals]
+            assert sum(delivered) == plat.journal.stats.events > 0
+            # The drain really did leave its chunks to the tick's flush.
+            assert len(open_after_chunk) > 8 and sum(open_after_chunk) > len(open_after_chunk) // 2
+        finally:
+            plat.close()
+
+    def test_the_facade_acks_a_durable_batch_the_stage_does_not(self, tmp_path):
+        plat = idle_platform(tmp_path, "facade", shards=2)
+        try:
+            stream = platform_stream(plat, n=96)
+            assert any(kind is not None for kind in plat.ingest.submit_many(stream[:48]))
+            assert open_windows(plat.journal) != []  # committed, not yet acked
+            assert any(kind is not None for kind in plat.ingest_many(stream[48:]))
+            assert open_windows(plat.journal) == []  # an acked batch is a durable batch
+            live = sharded_fingerprint(plat.journal)
+        finally:
+            plat.close()
+        recovered = ShardedJournal.recover(str(tmp_path / "facade"), ShardMap(2), reopen=False)
+        assert sharded_fingerprint(recovered) == live
+
+    @pytest.mark.parametrize("mode", ["pre_fsync", "torn"])
+    def test_crash_mid_drain_recovers_whole_chunks_and_redelivery_converges(self, mode, tmp_path):
+        """A crash while the drain is committing chunks into an open window
+        leaves whole chunks on disk — never a prefix of one — and resuming
+        the drain's stream after the last durable chunk converges to the
+        fault-free journal."""
+        from repro.pipeline import CrashPoint, FaultPlan, SimulatedCrash
+
+        world = shared_world()
+        targets = [
+            (inst.ip_index, inst.port)
+            for inst in world.services_alive_at(0.5) if inst.transport == "tcp"
+        ][:160]
+        assert len(targets) == 160
+
+        def drain(name, arm=None):
+            """One real interrogation drain over ``targets``; returns the
+            platform, the chunks it submitted, the journal event count
+            after each, and whether a simulated crash stopped it."""
+            plat = idle_platform(tmp_path, name, ingest_batch=16, group_commit_events=4)
+            chunks, boundaries = [], [0]
+            submit_many = plat.ingest.submit_many
+
+            def recording_submit_many(observations, executor=None):
+                chunks.append(list(observations))
+                kinds = submit_many(observations, executor=executor)
+                boundaries.append(plat.journal.stats.events)
+                return kinds
+
+            plat.ingest.submit_many = recording_submit_many
+            for ip_index, port in targets:
+                plat.queue.push_new(ip_index, port, "tcp", source="discovery", not_before=0.5)
+            if arm is not None:
+                arm(plat.journal.journals[0])
+            crashed = False
+            try:
+                plat.interrogation.advance(1.0, 1.0)
+                plat.ingest.ack()
+            except SimulatedCrash:
+                crashed = True
+            return plat, chunks, boundaries, crashed
+
+        def json_shaped(journal):
+            # Recovered records are JSON-shaped (tuples come back as lists).
+            return json.loads(json.dumps(sharded_fingerprint(journal), default=str))
+
+        oracle, chunks, boundaries, crashed = drain("oracle")
+        assert not crashed and len(chunks) >= 10
+        oracle_fingerprint = json_shaped(oracle.journal)
+        oracle.close()
+        # Aim inside the seventh chunk: the window (4 records) is half open.
+        target = 6
+        assert boundaries[target + 1] - boundaries[target] >= 2
+
+        shipped = []
+
+        def arm(shard_journal):
+            shard_journal.commit_listener = lambda events: shipped.append(len(events))
+            if mode == "torn":
+                plan = FaultPlan(seed=1, crash_points=(CrashPoint(boundaries[target] + 2, "torn"),))
+                shard_journal.fault_injector = plan.injector()
+                return
+            seen = {"n": 0}
+
+            def hook(point):
+                if point == "pre_fsync":
+                    seen["n"] += 1
+                    if seen["n"] == 2:  # the fsync covering chunks 5-8
+                        raise SimulatedCrash("crash before a mid-drain covering fsync")
+
+            shard_journal.wal.crash_hook = hook
+
+        victim, victim_chunks, _boundaries, crashed = drain("victim", arm)
+        assert crashed
+        crashed_in = len(victim_chunks) - 1
+        assert victim_chunks == chunks[: crashed_in + 1]
+        assert crashed_in == (target if mode == "torn" else 7)
+        # Listeners saw only chunks a completed fsync covers: the first full
+        # window (pre_fsync), or everything the torn write's own fsync
+        # swept up ahead of the torn record.
+        acked = 4 if mode == "pre_fsync" else target
+        assert len(shipped) == acked and sum(shipped) == boundaries[acked]
+        victim.journal.journals[0].commit_listener = None
+        victim.close()
+
+        wal_dir = str(tmp_path / "victim")
+        recovered = ShardedJournal.recover(wal_dir, ShardMap(1), group_commit_events=4)
+        assert recovered.journals[0].stats.torn_records_discarded == (1 if mode == "torn" else 0)
+        # pre_fsync: the crashing chunk's record had reached the file, so the
+        # (simulated) crash keeps it whole; torn loses exactly that chunk.
+        survived = crashed_in + 1 if mode == "pre_fsync" else crashed_in
+        assert recovered.stats.events == boundaries[survived]
+        assert recovered.journals[0].stats.wal_batches == survived
+
+        ws = WriteSideProcessor(recovered, EventBus())
+        for chunk in chunks[survived:]:
+            ws.submit_chunk(chunk)
+        recovered.flush_commit_windows()
+        assert json_shaped(recovered) == oracle_fingerprint
+        recovered.close()
+        cold = ShardedJournal.recover(wal_dir, ShardMap(1), reopen=False)
+        assert json_shaped(cold) == oracle_fingerprint
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from repro.net import AffinePermutation, ProbeSpace, mix64_array, to_uint64
 from repro.net.cyclic import _mix64
 from repro.search import SearchIndex
 from repro.simnet import DAY, Vantage, WorkloadConfig, build_simnet
+from repro.simnet.topology import TopologyConfig
 from repro.simnet.instances import ServiceInstance
 from repro.simnet.internet import _mod_ranges
 
@@ -106,6 +107,94 @@ class TestReachableMany:
         assert bool(net.reachable_many(3, VANTAGES[0], 12.0, 7).reshape(()).item()) == (
             net.reachable_scalar(3, VANTAGES[0], 12.0, 7)
         )
+
+
+class TestReachableIsTheScalarPhysics:
+    """``reachable`` is the scalar body (one address, two draws), no longer
+    a 1-element trip through ``reachable_many``; the array kernel is its
+    oracle, element-wise, at every edge the two could disagree on."""
+
+    def _assert_elementwise(self, net, vantage, ips, times, salts):
+        batched = net.reachable_many(ips, vantage, times, salts)
+        for ip, t, salt, want in zip(ips, times, salts, batched.tolist()):
+            assert net.reachable(int(ip), vantage, float(t), int(salt)) is want, (
+                vantage.name, ip, t, salt,
+            )
+        return batched
+
+    def test_negative_pseudo_host_salts(self, net):
+        pseudo_salts = [-p.pseudo_id - 1 for p in net.workload.pseudo_hosts][:50]
+        salts = pseudo_salts + [-1, -2, -(2**40), -(2**63), 0, 2**40]
+        rng = np.random.default_rng(3)
+        ips = rng.integers(0, net.space.size, len(salts)).tolist()
+        # One time per call: each draw is made alone, as connect() makes it.
+        for vantage in VANTAGES:
+            outcomes = set()
+            for t in (-3.5 * DAY, 0.0, 11.25, 6 * DAY):
+                got = self._assert_elementwise(net, vantage, ips, [t] * len(salts), salts)
+                outcomes.update(got.tolist())
+            if vantage.loss_rate >= 0.25:
+                assert outcomes == {True, False}  # the loss draw is live
+
+    def test_week_and_six_hour_window_boundaries(self, net):
+        eps = 1e-9
+        edges = [0.0, 6.0, 12.0, 7 * 24.0, -6.0, -7 * 24.0, 14 * 24.0, -21 * 24.0]
+        times = [edge + d for edge in edges for d in (-1.0, -eps, 0.0, eps, 1.0)]
+        rng = np.random.default_rng(4)
+        ips = rng.integers(0, net.space.size, len(times)).tolist()
+        salts = rng.integers(-(2**40), 2**40, len(times)).tolist()
+        for vantage in VANTAGES:
+            # Mixed weeks take the kernel's re-mixing path, a uniform week
+            # its cached per-week mask: check both.
+            self._assert_elementwise(net, vantage, ips, times, salts)
+            for ip, t, salt in zip(ips, times, salts):
+                self._assert_elementwise(net, vantage, [ip], [t], [salt])
+
+    def test_zero_loss_rate_never_draws_a_loss(self, net):
+        lossless = Vantage("lossless", "asia", loss_rate=0.0, vantage_id=3)
+        rng = np.random.default_rng(5)
+        ips = rng.integers(0, net.space.size, 300).tolist()
+        times = rng.uniform(-20 * DAY, 20 * DAY, 300).tolist()
+        salts = rng.integers(-(2**40), 2**40, 300).tolist()
+        got = self._assert_elementwise(net, lossless, ips, times, salts)
+        # With no loss, reachability is a property of (network, week) alone.
+        for ip, t, want in zip(ips, times, got.tolist()):
+            assert net.reachable(ip, lossless, t, salt=12345) is want
+
+    def test_geoblocked_networks(self):
+        net = build_simnet(
+            bits=13,
+            workload_config=WorkloadConfig(seed=13, services_target=50, t_end=2 * DAY),
+            topology_config=TopologyConfig(seed=13, max_block_bits=9, geoblock_rate=0.5),
+            seed=13,
+        )
+        blocked = [n for n in net.topology.networks if n.blocked_regions]
+        assert len(blocked) >= 4
+        for network in blocked[:20]:
+            ips = [network.start, network.start + (network.size - 1)]
+            for region in ("us", "eu", "asia"):
+                vantage = Vantage(f"{region}-v", region, loss_rate=0.0, vantage_id=7)
+                got = self._assert_elementwise(net, vantage, ips, [0.0, 50.0], [1, -1])
+                if region in network.blocked_regions:
+                    assert got.tolist() == [False, False]
+
+    def test_one_scalar_body_and_no_array_detour_on_connect(self, net, monkeypatch):
+        assert type(net).reachable_scalar is type(net).reachable
+
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("connect() went through the array kernel")
+
+        monkeypatch.setattr(net, "reachable_many", no_kernel)
+        monkeypatch.setattr(net, "_reachable_kernel", no_kernel)
+        vantage = VANTAGES[0]
+        opened = 0
+        for inst in net.services_alive_at(0.0)[:200]:
+            conn = net.connect(inst.ip_index, inst.port, 0.0, vantage, transport=inst.transport)
+            opened += conn is not None
+        for pseudo in net.workload.pseudo_hosts[:20]:
+            if pseudo.alive_at(0.0):
+                opened += net.connect(pseudo.ip_index, 81, 0.0, vantage) is not None
+        assert opened > 100
 
 
 class TestPreparedScanIndex:
