@@ -1,6 +1,6 @@
-"""Perf-regression harness: micro hot paths, macro serving, and load.
+"""Perf-regression harness: micro hot paths, macro serving, and storage tiers.
 
-Three suites, selected with ``--suite``:
+Six suites, selected with ``--suite``:
 
 * ``micro`` (default) — each vectorized hot path and its retained scalar
   reference for N rounds → ``benchmarks/results/BENCH_micro.json`` with
@@ -19,15 +19,6 @@ Three suites, selected with ``--suite``:
   plus timed ``kill_primary()`` → ``fail_over()`` promotions over lossy
   links with the replayed tail size and a zero-acked-write-loss check on
   every promotion → ``benchmarks/results/BENCH_replication.json``.
-* ``load`` — the closed-loop load generator for the parallel shard
-  execution tier: N concurrent client threads replay seeded Zipfian
-  query schedules against three identically-built 4-shard platforms,
-  one per executor backend (serial / thread / process), with the
-  executors' simulated per-shard RPC latency turned on so the scatter
-  cost has the distributed system's wall-clock shape →
-  ``benchmarks/results/BENCH_load.json`` with p50/p95/p99 latency and
-  aggregate throughput per offered load, plus speedups vs the serial
-  backend.  Cross-backend answer equality is asserted before timing.
 * ``standing`` — the standing-query tier: a scale sweep registering
   10k / 30k / 100k subscriptions (anchored vocabulary sized so the
   per-event match count stays fixed) against one synthetic document
@@ -40,8 +31,8 @@ Three suites, selected with ``--suite``:
 * ``ingest`` — the ingest fast path: a fixed synthetic observation
   stream into a durable sharded journal across a grid of batch sizes
   (1 / 16 / 64 / 256, single shard, group-commit window matched to the
-  batch) and shard counts (2 / 4 at batch 256, all three executor
-  backends) → ``benchmarks/results/BENCH_ingest.json`` with per-config
+  batch) and shard counts (2 / 4 at batch 256, serial and thread
+  executors) → ``benchmarks/results/BENCH_ingest.json`` with per-config
   throughput, fsync counts, and speedups vs the per-event single-shard
   baseline (the headline: >= 5x at batch 256, asserted in-bench).
   Equality gates run before any timing: every configuration must match
@@ -61,13 +52,12 @@ Three suites, selected with ``--suite``:
 
 The equality of every cached/uncached and vectorized/reference pair is
 asserted separately by ``benchmarks/test_perf_regression.py``; this
-harness only measures (the load suite's inline digest check aside).
+harness only measures (the in-bench equality gates aside).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/perf_harness.py [--rounds N]
     PYTHONPATH=src python benchmarks/perf_harness.py --suite serving [--ops-scale S]
-    PYTHONPATH=src python benchmarks/perf_harness.py --suite load [--workers W]
 
 Pass ``--out`` (CI smoke) to write somewhere other than the committed
 ``benchmarks/results/`` artifacts.  The micro configuration matches
@@ -86,7 +76,6 @@ import random
 import statistics
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -168,7 +157,7 @@ def bench_segment_query(rounds: int) -> dict:
     salts_l = salts.tolist()
     out["reachable_batch_reference"] = _timed(
         lambda: [
-            net.reachable_scalar(ip, vantage, t, s)
+            net.reachable(ip, vantage, t, s)
             for ip, t, s in zip(ips_l, times_l, salts_l)
         ],
         max(3, rounds // 3),
@@ -345,182 +334,6 @@ def bench_serving(ops_scale: float = 1.0, seed: int = 11) -> dict:
         },
         "segments": segments,
         "cache": cached.traffic_report()["read_cache"],
-    }
-
-
-# -- the closed-loop load benchmark -----------------------------------------
-
-LOAD_BACKENDS = ("serial", "thread", "process")
-LOAD_CLIENT_LEVELS = (1, 2, 4, 8)
-#: Op mix per client (cumulative probabilities over a uniform draw).
-LOAD_MIX = (("lookup", 0.20), ("search", 0.65), ("count", 0.80), ("aggregate", 1.0))
-
-
-def _load_stats(samples: list, wall_s: float) -> dict:
-    ordered = sorted(samples)
-    return {
-        "ops": len(ordered),
-        "p50_ms": round(statistics.median(ordered) * 1e3, 3),
-        "p95_ms": round(ordered[int(0.95 * (len(ordered) - 1))] * 1e3, 3),
-        "p99_ms": round(ordered[int(0.99 * (len(ordered) - 1))] * 1e3, 3),
-        "wall_s": round(wall_s, 3),
-        "throughput_ops_s": round(len(ordered) / wall_s, 1) if wall_s > 0 else float("inf"),
-    }
-
-
-def bench_load(
-    ops_scale: float = 1.0,
-    seed: int = 11,
-    workers: int = 4,
-    shard_latency_ms: float = 2.0,
-) -> dict:
-    """Closed-loop multi-client load vs executor backend (serial baseline).
-
-    One 4-shard platform per backend, built and warmed identically; the
-    query cache is disabled so every query actually scatters.  The
-    executors model the per-shard RPC hop (``shard_latency_ms``): the
-    serial backend pays ``shards x hop`` per scatter while the parallel
-    backends overlap the hops — the wall-clock shape of the paper's
-    gateway → shard fan-out, measurable even on a single-core host
-    because the modeled hop releases the GIL.  Every backend must answer
-    a full query digest identically before any timing runs.
-    """
-    from repro.core import CensysPlatform, PlatformConfig
-    from repro.pipeline import make_executor
-
-    shards = 4
-
-    def build(backend: str) -> CensysPlatform:
-        net = build_simnet(
-            bits=12,
-            workload_config=WorkloadConfig(
-                seed=seed, services_target=250, t_start=-8 * DAY, t_end=8 * DAY
-            ),
-            seed=seed,
-        )
-        executor = make_executor(backend, workers=workers, latency_ms=shard_latency_ms)
-        plat = CensysPlatform(
-            net,
-            PlatformConfig(
-                predictive_daily_budget=300, seed=seed, shards=shards,
-                query_cache_entries=0, executor=executor,
-            ),
-            start_time=-6 * DAY,
-        )
-        plat.run_until(0.0, tick_hours=6.0)
-        return plat
-
-    platforms = {backend: build(backend) for backend in LOAD_BACKENDS}
-    hosts = [i.ip_index for i in platforms["serial"].internet.services_alive_at(0.0)][:120]
-    host_weights = _zipf_weights(len(hosts))
-    query_weights = _zipf_weights(len(SERVING_QUERIES))
-
-    # Answer equality across backends, gated before any timing (and, as a
-    # side effect, warming the process backend's shard replicas).
-    def digest(plat: CensysPlatform) -> dict:
-        return {
-            "search": {q: plat.search(q, limit=10) for q in SERVING_QUERIES},
-            "count": {q: plat.index.count(q) for q in SERVING_QUERIES},
-            "aggregate": {
-                q: plat.index.aggregate(q, "services.service_name")
-                for q in SERVING_QUERIES
-            },
-            "lookup": [plat.lookup_host(h) for h in hosts[:20]],
-        }
-
-    reference = digest(platforms["serial"])
-    for backend in LOAD_BACKENDS[1:]:
-        if digest(platforms[backend]) != reference:  # pragma: no cover - the gate
-            raise SystemExit(f"{backend} backend diverged from the serial reference")
-
-    ops_per_client = max(15, int(120 * ops_scale))
-
-    def client_schedule(plat: CensysPlatform, client_id: int) -> list:
-        """Deterministic per-client op list — identical for every backend."""
-        rng = random.Random((seed + 1) * 1000 + client_id)
-        ops = []
-        for _ in range(ops_per_client):
-            draw = rng.random()
-            kind = next(name for name, ceiling in LOAD_MIX if draw <= ceiling)
-            if kind == "lookup":
-                i = rng.choices(range(len(hosts)), weights=host_weights, k=1)[0]
-                ops.append(lambda p=plat, h=hosts[i]: p.lookup_host(h))
-            elif kind == "search":
-                i = rng.choices(range(len(SERVING_QUERIES)), weights=query_weights, k=1)[0]
-                ops.append(lambda p=plat, q=SERVING_QUERIES[i]: p.search(q, limit=10))
-            elif kind == "count":
-                i = rng.choices(range(len(SERVING_QUERIES)), weights=query_weights, k=1)[0]
-                ops.append(lambda p=plat, q=SERVING_QUERIES[i]: p.index.count(q))
-            else:
-                i = rng.choices(range(len(SERVING_QUERIES)), weights=query_weights, k=1)[0]
-                field = rng.choice(SERVING_AGG_FIELDS)
-                ops.append(
-                    lambda p=plat, q=SERVING_QUERIES[i], f=field: p.index.aggregate(q, f)
-                )
-        return ops
-
-    def run_level(plat: CensysPlatform, clients: int) -> dict:
-        schedules = [client_schedule(plat, c) for c in range(clients)]
-        latencies: list = [[] for _ in range(clients)]
-        errors: list = []
-
-        def client(cid: int) -> None:
-            try:
-                for op in schedules[cid]:
-                    t0 = time.perf_counter()
-                    op()
-                    latencies[cid].append(time.perf_counter() - t0)
-            except Exception as exc:  # pragma: no cover - surfaced below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=client, args=(c,)) for c in range(clients)]
-        wall0 = time.perf_counter()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        wall = time.perf_counter() - wall0
-        if errors:
-            raise errors[0]
-        merged = [s for per_client in latencies for s in per_client]
-        return _load_stats(merged, wall)
-
-    backends_out = {}
-    for backend, plat in platforms.items():
-        levels = {str(n): run_level(plat, n) for n in LOAD_CLIENT_LEVELS}
-        backends_out[backend] = {"levels": levels, "executor": plat.executor.report()}
-
-    speedups = {}
-    for backend in LOAD_BACKENDS[1:]:
-        per_level = {
-            str(n): round(
-                backends_out[backend]["levels"][str(n)]["throughput_ops_s"]
-                / backends_out["serial"]["levels"][str(n)]["throughput_ops_s"],
-                2,
-            )
-            for n in LOAD_CLIENT_LEVELS
-        }
-        speedups[f"{backend}_vs_serial"] = {
-            **per_level, "max": max(per_level.values()),
-        }
-
-    for plat in platforms.values():
-        plat.close()
-
-    return {
-        "config": {
-            "bits": 12, "seed": seed, "services_target": 250, "shards": shards,
-            "workers": workers, "warmup_days": 6, "hosts": len(hosts),
-            "queries": len(SERVING_QUERIES), "zipf_s": 1.1,
-            "ops_scale": ops_scale, "ops_per_client": ops_per_client,
-            "client_levels": list(LOAD_CLIENT_LEVELS),
-            "op_mix": {name: ceiling for name, ceiling in LOAD_MIX},
-            "shard_latency_ms": shard_latency_ms,
-            "cpus": os.cpu_count(),
-            "equality_checked": True,
-        },
-        "backends": backends_out,
-        "speedups_vs_serial": speedups,
     }
 
 
@@ -750,12 +563,12 @@ def bench_compaction(ops_scale: float = 1.0, seed: int = 11) -> dict:
         plain = EventJournal(
             snapshot_every=snapshot_every,
             wal=WriteAheadLog(plain_dir, segment_max_records=segment_max_records,
-                              fsync_every=64),
+                              group_commit_events=64),
         )
         compacted = EventJournal(
             snapshot_every=snapshot_every,
             wal=WriteAheadLog(compact_dir, segment_max_records=segment_max_records,
-                              fsync_every=64),
+                              group_commit_events=64),
         )
         compactor = SegmentCompactor(compacted, compact_dir, min_sealed_segments=2)
 
@@ -1279,10 +1092,10 @@ def bench_ingest(ops_scale: float = 1.0, seed: int = 11) -> dict:
     for batch in (16, 64, 256):
         grid.append((f"batch_{batch}", batch, 1, "serial", batch))
     for shards in (2, 4):
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "thread"):
             grid.append((f"shards_{shards}_{backend}", 256, shards, backend, 256))
 
-    executors = {name: make_executor(name) for name in ("serial", "thread", "process")}
+    executors = {name: make_executor(name) for name in ("serial", "thread")}
 
     # -- equality gates (abort before timing on any divergence) ------------
     reference_digest = None
@@ -1392,25 +1205,17 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--suite",
-        choices=["micro", "serving", "load", "replication", "compaction", "standing", "ingest"],
+        choices=["micro", "serving", "replication", "compaction", "standing", "ingest"],
         default="micro",
     )
     parser.add_argument("--rounds", type=int, default=30, help="micro: timing samples per path")
     parser.add_argument(
         "--ops-scale", type=float, default=1.0,
-        help="serving/load/replication: scale factor on op counts (CI smoke uses < 1)",
+        help="serving/replication: scale factor on op counts (CI smoke uses < 1)",
     )
     parser.add_argument(
         "--seed", type=int, default=11,
-        help="serving/load/replication: world + schedule seed (recorded in the emitted JSON)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=4,
-        help="load: worker count for the thread/process executor backends",
-    )
-    parser.add_argument(
-        "--shard-latency-ms", type=float, default=2.0,
-        help="load: simulated per-shard RPC hop (the executors' latency model)",
+        help="serving/replication: world + schedule seed (recorded in the emitted JSON)",
     )
     parser.add_argument(
         "--out", type=Path, default=None,
@@ -1501,25 +1306,6 @@ def main() -> None:
             },
             indent=2,
         ))
-        print(f"wrote {out_path}")
-        return
-
-    if args.suite == "load":
-        load = bench_load(
-            ops_scale=args.ops_scale, seed=args.seed, workers=args.workers,
-            shard_latency_ms=args.shard_latency_ms,
-        )
-        payload = {
-            "commit": _git_commit(),
-            "generated": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            **load,
-        }
-        out_path = args.out
-        if out_path is None:
-            RESULTS.mkdir(exist_ok=True)
-            out_path = RESULTS / "BENCH_load.json"
-        out_path.write_text(json.dumps(payload, indent=2) + "\n")
-        print(json.dumps(payload["speedups_vs_serial"], indent=2))
         print(f"wrote {out_path}")
         return
 

@@ -62,7 +62,7 @@ def test_reachability_kernel_equals_scalar_grid(net):
     for vantage in VANTAGES:
         batched = net.reachable_many(ips, vantage, times, salts)
         expected = [
-            net.reachable_scalar(int(ips[i]), vantage, float(times[i]), int(salts[i]))
+            net.reachable(int(ips[i]), vantage, float(times[i]), int(salts[i]))
             for i in range(n)
         ]
         assert batched.tolist() == expected, vantage.name

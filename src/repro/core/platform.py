@@ -9,8 +9,8 @@ production system's decomposition):
    predictive proposals, re-injections, due refreshes, and web-property
    name discovery feed the deduplicating scan queue;
 2. :class:`~repro.core.stages.InterrogationStage` — workers drain the
-   queue (globally or per shard): protocol detection, full handshakes,
-   refresh fast-paths, multi-PoP retry;
+   queue: protocol detection, full handshakes, refresh fast-paths,
+   multi-PoP retry;
 3. :class:`~repro.core.stages.IngestStage` — the CQRS write side journals
    deltas into per-shard journals and pumps follow-up work onto the bus;
 4. :class:`~repro.core.stages.DerivationStage` — asynchronous consumers:
@@ -21,7 +21,7 @@ production system's decomposition):
 Storage is partitioned by a deterministic
 :class:`~repro.pipeline.sharding.ShardMap`; ``shards=1`` (the default) is
 bit-identical to the unsharded seed platform, and ``shards=N`` keeps all
-query results invariant while letting stages drain shards independently.
+query results invariant.
 """
 
 from __future__ import annotations
@@ -89,11 +89,8 @@ class PlatformConfig:
     l7_capacity_per_hour: Optional[int] = None
     scanner_id: str = "censys"
     seed: int = 0
-    #: Keyspace shards for the journal/index/queue layer (1 = unsharded).
+    #: Keyspace shards for the journal/index layer (1 = unsharded).
     shards: int = 1
-    #: Queue drain policy when sharded: "merged" (global order, shard-count
-    #: invariant) or "round_robin" (independent per-shard budgets).
-    shard_drain: str = "merged"
     #: Directory for per-shard write-ahead logs (None = in-memory journal).
     wal_dir: Optional[str] = None
     #: Group-commit window for durable shards: fsync after this many WAL
@@ -114,7 +111,7 @@ class PlatformConfig:
     view_cache_entries: int = 4096
     query_cache_entries: int = 256
     #: Per-shard fan-out backend: "serial" (the bit-identical reference),
-    #: "thread", "process", or a ShardExecutor instance.
+    #: "thread", or a ShardExecutor instance.
     executor: Any = "serial"
     #: Worker count for pooled executors (None = backend default).
     executor_workers: Optional[int] = None
@@ -264,10 +261,7 @@ class CensysPlatform:
                 internet, cfg.background_ports_per_ip_per_day, seed=cfg.seed + 19, scanner_id=sid
             )
         )
-        shard_of = None
-        if cfg.shards > 1:
-            shard_of = lambda ip_index: self.shard_map.shard_of(self.entity_for_ip(ip_index))  # noqa: E731
-        self.queue = ScanQueue(shards=cfg.shards, shard_of=shard_of)
+        self.queue = ScanQueue()
         self.interrogator = Interrogator(self.registry)
         self.exclusions = ExclusionList(internet.space)
         self.predictive = PredictiveEngine(
@@ -316,7 +310,6 @@ class CensysPlatform:
             self.scheduler, self.predictive, self.ingest, self.web_scanner,
             frozenset(priority_ports()),
             scanner_id=sid, l7_capacity_per_hour=cfg.l7_capacity_per_hour,
-            shard_drain=cfg.shard_drain,
             ingest_batch=cfg.ingest_batch,
             executor=self.executor,
         )
@@ -550,8 +543,8 @@ class CensysPlatform:
 
         Idempotent; safe to call while reads are in flight (the journal's
         close-once guard serialises against them).  Required for platforms
-        built with ``executor="thread"``/``"process"`` so worker threads
-        and processes do not outlive the platform.
+        built with ``executor="thread"`` so worker threads do not outlive
+        the platform.
         """
         if self.replication is not None:
             self.replication.close()

@@ -1,10 +1,10 @@
 """The interrogation stage: L7 handshakes over queued candidates.
 
-Drains the scan queue (globally or shard-by-shard), runs protocol
-detection / full handshakes / refresh fast-paths against the simulated
-Internet, and hands the resulting observations to the ingest stage.  Also
-owns web-property scanning (HTTP over names plus name-fed IPv6), which
-produces observations through the same ingest path.
+Drains the scan queue, runs protocol detection / full handshakes /
+refresh fast-paths against the simulated Internet, and hands the
+resulting observations to the ingest stage.  Also owns web-property
+scanning (HTTP over names plus name-fed IPv6), which produces
+observations through the same ingest path.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ class InterrogationStage:
         *,
         scanner_id: str = "censys",
         l7_capacity_per_hour: Optional[int] = None,
-        shard_drain: str = "merged",
         ingest_batch: int = 1,
         executor: Optional[object] = None,
     ) -> None:
@@ -64,10 +63,6 @@ class InterrogationStage:
         self.priority_port_set = priority_port_set
         self.scanner_id = scanner_id
         self.l7_capacity_per_hour = l7_capacity_per_hour
-        #: "merged" drains the queue in global order (shard-count
-        #: invariant); "round_robin" drains shard-by-shard with a per-shard
-        #: budget — the independent-worker scheduling mode.
-        self.shard_drain = shard_drain
         #: Max observations per batched ingest call; 1 = the per-event
         #: reference path.  The batched drain is engineered bit-identical
         #: (see :meth:`_interrogate_batched`), so this is pure amortization.
@@ -93,25 +88,13 @@ class InterrogationStage:
         limit = None
         if self.l7_capacity_per_hour is not None:
             limit = int(self.l7_capacity_per_hour * dt)
-        if self.shard_drain == "round_robin" and self.queue.shards > 1:
-            candidates = self._drain_round_robin(now, limit)
-        else:
-            candidates = self.queue.pop_ready(now, limit=limit)
+        candidates = self.queue.pop_ready(now, limit=limit)
         if self.ingest_batch > 1 and len(candidates) > 1:
             self._interrogate_batched(candidates, now, dt)
         else:
             for candidate in candidates:
                 self._interrogate(candidate, min(max(candidate.not_before, now - dt), now))
         return len(candidates)
-
-    def _drain_round_robin(self, now: float, limit: Optional[int]) -> List[ScanCandidate]:
-        """Per-shard budgets: each shard drains independently this tick."""
-        shards = self.queue.shards
-        per_shard = None if limit is None else max(1, limit // shards)
-        candidates: List[ScanCandidate] = []
-        for shard in range(shards):
-            candidates.extend(self.queue.pop_ready_shard(shard, now, limit=per_shard))
-        return candidates
 
     # -- single-candidate pipeline -------------------------------------------
 

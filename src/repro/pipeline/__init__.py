@@ -10,10 +10,8 @@ from repro.pipeline.cache import CacheStats, ReconstructionCache, VersionedLRU
 from repro.pipeline.delivery import AtLeastOnceSource, FaultyChannel, Resequencer
 from repro.pipeline.events import Event, EventKind, service_key
 from repro.pipeline.executors import (
-    ProcessShardExecutor,
     SerialExecutor,
     ShardExecutor,
-    ShardTaskError,
     ThreadShardExecutor,
     make_executor,
 )
@@ -113,8 +111,6 @@ __all__ = [
     "ShardExecutor",
     "SerialExecutor",
     "ThreadShardExecutor",
-    "ProcessShardExecutor",
-    "ShardTaskError",
     "make_executor",
     # Replication & failover
     "ReplicationBatch",

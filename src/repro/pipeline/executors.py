@@ -17,41 +17,9 @@ This module is the execution tier between the routers and the shards:
   overlap in wall-clock time; per-shard state stays in-process (the shard
   objects carry their own locks), so it composes with the versioned
   read-path caches unchanged.
-* :class:`ProcessShardExecutor` — persistent worker *processes*, one per
-  shard slot, speaking a small pickled message protocol over pipes.  Shard
-  state is **replicated** into the worker keyed on the shard's monotonic
-  version counter: the parent ships a pickled snapshot only when the
-  worker's copy is stale (reads are the common case, so steady state ships
-  a few hundred bytes per op), exactly the generation-validated replica
-  model a real serving tier uses.  Work that cannot be pickled (closures
-  over live platform state, e.g. the serving layer's batch lookups) falls
-  back to an internal thread pool and is counted in ``report()``.
 
-All three share one interface:
-
-``map_shards(fn, args_list)``
-    Apply ``fn(*args_list[i])`` per shard task, returning results in task
-    order.  ``fn`` may be any callable for the serial/thread backends; the
-    process backend requires a picklable (module-level) ``fn`` and
-    picklable args, falling back to threads otherwise.
-``map_stateful(fn, states, args_list, key=, versions=, snapshot=)``
-    Apply ``fn(states[i], *args_list[i])`` per shard.  The serial and
-    thread backends use the live ``states`` objects; the process backend
-    uses ``versions[i]`` plus the ``snapshot(i) -> (version, blob)``
-    callback to maintain its per-worker replicas.
-
-Simulated shard RPC latency
----------------------------
-
-The repository models its distributed substrate rather than deploying it
-(storage bytes are modeled, the Internet is simulated), and the executors
-follow suit: ``latency_ms`` models the network hop to a remote shard
-backend.  Each shard task sleeps ``latency_ms`` before computing — the
-serial backend therefore pays ``shards x latency`` per scatter while the
-parallel backends overlap the hops, which is precisely the wall-clock
-shape of the paper's gateway -> Elasticsearch-shard fan-out.  The default
-is ``0.0``: no behavioural or timing change anywhere unless a benchmark
-asks for the model.
+Both share one interface, ``map_shards(fn, args_list)``: apply
+``fn(*args_list[i])`` per shard task, returning results in task order.
 
 Nested fan-out (a batch request whose per-request work scatters again)
 runs the inner scatter inline on the worker that owns the outer task —
@@ -65,34 +33,16 @@ property ``tests/test_parallel_shards.py`` pins for shards in {1, 2, 4}.
 
 from __future__ import annotations
 
-import itertools
-import pickle
 import threading
-import time
-import traceback
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 __all__ = [
     "ShardExecutor",
     "SerialExecutor",
     "ThreadShardExecutor",
-    "ProcessShardExecutor",
-    "ShardTaskError",
     "make_executor",
 ]
-
-
-class ShardTaskError(RuntimeError):
-    """A shard task raised; carries the worker-side traceback text and,
-    when known, which task index in the scatter failed (``task_index``)
-    so callers can attribute the failure to a shard."""
-
-    def __init__(self, message: str, task_index: Optional[int] = None) -> None:
-        if task_index is not None:
-            message = f"shard task {task_index} failed: {message}"
-        super().__init__(message)
-        self.task_index = task_index
 
 
 #: Thread-local nesting depth: >0 means "already inside a shard task", so
@@ -117,24 +67,14 @@ class ShardExecutor:
 
     kind = "serial"
 
-    def __init__(self, latency_ms: float = 0.0) -> None:
-        if latency_ms < 0:
-            raise ValueError("latency_ms must be >= 0")
-        self.latency_ms = latency_ms
+    def __init__(self) -> None:
         self._stats_lock = threading.Lock()
         self.stats: Dict[str, int] = {"batches": 0, "tasks": 0, "inline_fallbacks": 0}
-
-    # -- latency model -----------------------------------------------------
-
-    def _hop(self) -> None:
-        """One simulated RPC hop to a shard backend (no-op by default)."""
-        if self.latency_ms > 0:
-            time.sleep(self.latency_ms / 1e3)
 
     @property
     def inline(self) -> bool:
         """True when ``map_shards`` adds nothing over a plain loop."""
-        return self.kind == "serial" and self.latency_ms == 0
+        return self.kind == "serial"
 
     def _count(self, tasks: int, fallback: bool = False) -> None:
         with self._stats_lock:
@@ -148,29 +88,12 @@ class ShardExecutor:
     def map_shards(self, fn: Callable[..., Any], args_list: Sequence[tuple]) -> List[Any]:
         """``[fn(*args) for args in args_list]`` — serial, in task order."""
         self._count(len(args_list))
-        results = []
-        for args in args_list:
-            self._hop()
-            results.append(fn(*args))
-        return results
-
-    def map_stateful(
-        self,
-        fn: Callable[..., Any],
-        states: Sequence[Any],
-        args_list: Sequence[tuple],
-        key: Optional[str] = None,
-        versions: Optional[Sequence[Any]] = None,
-        snapshot: Optional[Callable[[int], Tuple[Any, bytes]]] = None,
-    ) -> List[Any]:
-        """``fn(states[i], *args_list[i])`` per shard; in-process backends
-        use the live state objects and ignore the replication hooks."""
-        return self.map_shards(fn, [(states[i], *args_list[i]) for i in range(len(states))])
+        return [fn(*args) for args in args_list]
 
     def report(self) -> Dict[str, Any]:
         with self._stats_lock:
             out = dict(self.stats)
-        out.update(kind=self.kind, workers=self.workers, latency_ms=self.latency_ms)
+        out.update(kind=self.kind, workers=self.workers)
         return out
 
     @property
@@ -181,7 +104,7 @@ class ShardExecutor:
         pass
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return f"{type(self).__name__}(workers={self.workers}, latency_ms={self.latency_ms})"
+        return f"{type(self).__name__}(workers={self.workers})"
 
 
 class SerialExecutor(ShardExecutor):
@@ -201,8 +124,8 @@ class ThreadShardExecutor(ShardExecutor):
 
     kind = "thread"
 
-    def __init__(self, workers: int = 4, latency_ms: float = 0.0) -> None:
-        super().__init__(latency_ms=latency_ms)
+    def __init__(self, workers: int = 4) -> None:
+        super().__init__()
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self._workers = workers
@@ -225,17 +148,12 @@ class ThreadShardExecutor(ShardExecutor):
         if _depth() > 0 or len(args_list) <= 1:
             # Nested scatter (or nothing to overlap): run inline.
             self._count(len(args_list), fallback=_depth() > 0)
-            results = []
-            for args in args_list:
-                self._hop()
-                results.append(fn(*args))
-            return results
+            return [fn(*args) for args in args_list]
         self._count(len(args_list))
 
         def task(args: tuple) -> Any:
             _entered()
             try:
-                self._hop()
                 return fn(*args)
             finally:
                 _exited()
@@ -250,255 +168,19 @@ class ThreadShardExecutor(ShardExecutor):
                 self._pool = None
 
 
-# -- the process backend ----------------------------------------------------
-
-
-def _worker_main(conn: Any, latency_ms: float) -> None:  # pragma: no cover - child process
-    """Worker loop: replicated shard states + one task at a time."""
-    replicas: Dict[Any, Tuple[Any, Any]] = {}
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            return
-        op = msg[0]
-        if op == "stop":
-            return
-        try:
-            if latency_ms > 0:
-                time.sleep(latency_ms / 1e3)
-            if op == "call":
-                _op, fn, args = msg
-                result = fn(*args)
-            elif op == "stateful":
-                _op, fn, key, version, blob, args = msg
-                if blob is not None:
-                    replicas[key] = (version, pickle.loads(blob))
-                held = replicas.get(key)
-                if held is None:
-                    raise RuntimeError(f"no replica installed for shard key {key!r}")
-                result = fn(held[1], *args)
-            else:
-                raise RuntimeError(f"unknown message {op!r}")
-            conn.send(("ok", result))
-        except BaseException as exc:  # noqa: BLE001 - ship everything to the parent
-            try:
-                conn.send(("err", f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"))
-            except Exception:
-                return
-
-
-class ProcessShardExecutor(ShardExecutor):
-    """Process-per-shard-slot workers speaking a pickled pipe protocol.
-
-    Task ``i`` always lands on worker ``i % workers``, so a shard's
-    replica lives on a stable worker and the parent can track which
-    version each worker holds (``_installed``).  A ``map_stateful`` call
-    ships the shard state only when the worker's replica is stale; the
-    snapshot callback reads version + pickled state under the owner's
-    write lock, so a replica is always labeled with the exact version it
-    captures.  Unpicklable work units drop to an internal thread pool
-    (counted as ``inline_fallbacks``) rather than failing — the batch
-    serving paths close over live platform state on purpose.
-    """
-
-    kind = "process"
-
-    def __init__(self, workers: int = 4, latency_ms: float = 0.0) -> None:
-        super().__init__(latency_ms=latency_ms)
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self._workers = workers
-        self._procs: List[Any] = []
-        self._conns: List[Any] = []
-        self._conn_locks: List[threading.Lock] = []
-        #: (worker index, replica key) -> version the worker currently holds.
-        self._installed: Dict[Tuple[int, Any], Any] = {}
-        self._installed_lock = threading.Lock()
-        self._start_lock = threading.Lock()
-        self._closed = False
-        self._fallback = ThreadShardExecutor(workers=workers, latency_ms=latency_ms)
-
-    @property
-    def workers(self) -> int:
-        return self._workers
-
-    def _ensure_started(self) -> None:
-        with self._start_lock:
-            if self._procs or self._closed:
-                return
-            import multiprocessing as mp
-
-            try:
-                ctx = mp.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX hosts
-                ctx = mp.get_context("spawn")
-            for _ in range(self._workers):
-                parent_conn, child_conn = ctx.Pipe()
-                proc = ctx.Process(
-                    target=_worker_main, args=(child_conn, self.latency_ms), daemon=True
-                )
-                proc.start()
-                child_conn.close()
-                self._procs.append(proc)
-                self._conns.append(parent_conn)
-                self._conn_locks.append(threading.Lock())
-
-    # -- dispatch ----------------------------------------------------------
-
-    def _roundtrip_all(self, messages: List[Tuple[int, Any]]) -> List[Any]:
-        """Send every (worker, payload), overlap the workers, collect in order.
-
-        Tasks for the same worker are sent back-to-back under that worker's
-        lock (pipe responses are per-connection FIFO); locks are taken in
-        worker order so concurrent scatters from different client threads
-        pipeline without deadlocking or interleaving replies.  A payload
-        may be a callable built under the worker lock — the stateful path
-        uses this so replica-version bookkeeping is ordered with the sends.
-        Every sent message is recv'd even when a task errors, keeping the
-        connections synchronized for the next scatter.
-        """
-        self._ensure_started()
-        by_worker: Dict[int, List[int]] = {}
-        for tidx, (widx, _payload) in enumerate(messages):
-            by_worker.setdefault(widx, []).append(tidx)
-        order = sorted(by_worker)
-        results: List[Any] = [None] * len(messages)
-        errors: List[Tuple[int, str]] = []
-        acquired: List[int] = []
-        try:
-            for widx in order:
-                self._conn_locks[widx].acquire()
-                acquired.append(widx)
-                for tidx in by_worker[widx]:
-                    payload = messages[tidx][1]
-                    if callable(payload):
-                        payload = payload(widx)
-                    self._conns[widx].send(payload)
-            for widx in order:
-                for tidx in by_worker[widx]:
-                    status, value = self._conns[widx].recv()
-                    if status != "ok":
-                        errors.append((tidx, value))
-                    else:
-                        results[tidx] = value
-        finally:
-            for widx in acquired:
-                self._conn_locks[widx].release()
-        if errors:
-            tidx, value = errors[0]
-            raise ShardTaskError(value, task_index=tidx)
-        return results
-
-    def map_shards(self, fn: Callable[..., Any], args_list: Sequence[tuple]) -> List[Any]:
-        if not args_list:
-            return []
-        if _depth() > 0 or self._closed:
-            self._count(len(args_list), fallback=True)
-            return self._fallback.map_shards(fn, args_list)
-        try:
-            payloads = [("call", fn, args) for args in args_list]
-            pickle.dumps(payloads[0])
-        except Exception:
-            # Closures over live platform state: run in-process instead.
-            self._count(len(args_list), fallback=True)
-            return self._fallback.map_shards(fn, args_list)
-        self._count(len(args_list))
-        messages = [(i % self._workers, payloads[i]) for i in range(len(payloads))]
-        return self._roundtrip_all(messages)
-
-    def map_stateful(
-        self,
-        fn: Callable[..., Any],
-        states: Sequence[Any],
-        args_list: Sequence[tuple],
-        key: Optional[str] = None,
-        versions: Optional[Sequence[Any]] = None,
-        snapshot: Optional[Callable[[int], Tuple[Any, bytes]]] = None,
-    ) -> List[Any]:
-        if key is None or versions is None or snapshot is None or _depth() > 0 or self._closed:
-            self._count(len(states), fallback=True)
-            return self._fallback.map_stateful(fn, states, args_list)
-        self._count(len(states))
-
-        def payload_builder(i: int) -> Callable[[int], tuple]:
-            def build(widx: int) -> tuple:
-                # Runs under the worker's connection lock, so the replica
-                # decision is ordered with the send: a replica is shipped
-                # iff this worker's copy is stale, labeled with the exact
-                # version the snapshot captured.
-                shard_key = (key, i)
-                version = versions[i]
-                blob = None
-                with self._installed_lock:
-                    held = self._installed.get((widx, shard_key))
-                if held is None or held != version:
-                    version, blob = snapshot(i)
-                    with self._installed_lock:
-                        self._installed[(widx, shard_key)] = version
-                return ("stateful", fn, shard_key, version, blob, args_list[i])
-
-            return build
-
-        messages = [(i % self._workers, payload_builder(i)) for i in range(len(states))]
-        return self._roundtrip_all(messages)
-
-    def close(self) -> None:
-        with self._start_lock:
-            self._closed = True
-            for conn, lock in zip(self._conns, self._conn_locks):
-                with lock:
-                    try:
-                        conn.send(("stop",))
-                    except (OSError, ValueError):
-                        pass
-            for proc in self._procs:
-                proc.join(timeout=2.0)
-                if proc.is_alive():  # pragma: no cover - stuck worker
-                    proc.terminate()
-            for conn in self._conns:
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover
-                    pass
-            self._procs, self._conns, self._conn_locks = [], [], []
-            self._installed.clear()
-        self._fallback.close()
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter teardown
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
-#: Replica-key uniquifier shared by every router instance in the process.
-_REPLICA_SEQ = itertools.count()
-
-
-def next_replica_key(prefix: str) -> str:
-    """A process-unique key namespace for one router's shard replicas."""
-    return f"{prefix}-{next(_REPLICA_SEQ)}"
-
-
-def make_executor(
-    spec: Any = "serial",
-    workers: Optional[int] = None,
-    latency_ms: float = 0.0,
-) -> ShardExecutor:
+def make_executor(spec: Any = "serial", workers: Optional[int] = None) -> ShardExecutor:
     """Build an executor from a config value.
 
     ``spec`` may be an executor instance (returned as-is), ``None``/
-    ``"serial"``, ``"thread"``, or ``"process"``.  ``workers`` defaults
-    to 4 for the pooled backends.
+    ``"serial"``, or ``"thread"``.  ``workers=None`` means the thread
+    pool's default of 4; any other value is passed through and validated
+    by the backend.
     """
     if isinstance(spec, ShardExecutor):
         return spec
     name = "serial" if spec is None else str(spec)
     if name == "serial":
-        return SerialExecutor(latency_ms=latency_ms)
+        return SerialExecutor()
     if name == "thread":
-        return ThreadShardExecutor(workers=workers or 4, latency_ms=latency_ms)
-    if name == "process":
-        return ProcessShardExecutor(workers=workers or 4, latency_ms=latency_ms)
-    raise ValueError(f"unknown executor {spec!r} (serial | thread | process)")
+        return ThreadShardExecutor(workers=4 if workers is None else workers)
+    raise ValueError(f"unknown executor {spec!r} (serial | thread)")

@@ -148,20 +148,6 @@ class EventJournal:
     def durable(self) -> bool:
         return self.wal is not None
 
-    def __getstate__(self) -> Dict[str, Any]:
-        """Pickle support: parallel recovery ships recovered shards back
-        from worker processes (with ``reopen=False``, so no live WAL)."""
-        if self.wal is not None:
-            raise TypeError("cannot pickle an EventJournal with an open WAL")
-        state = dict(self.__dict__)
-        del state["_close_lock"]
-        state["commit_listener"] = None  # process-local, like the lock
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._close_lock = threading.Lock()
-
     # -- write path -------------------------------------------------------
 
     def append(self, entity_id: str, time: float, kind: str, payload: Dict[str, Any]) -> Event:
@@ -335,8 +321,7 @@ class EventJournal:
         snapshot_every: int = 32,
         *,
         segment_max_records: int = 128,
-        fsync_every: int = 1,
-        group_commit_events: Optional[int] = None,
+        group_commit_events: int = 1,
         group_commit_bytes: Optional[int] = None,
         fault_injector: Optional[Any] = None,
         verify_snapshots: bool = True,
@@ -407,7 +392,6 @@ class EventJournal:
             journal.wal = WriteAheadLog(
                 directory,
                 segment_max_records=segment_max_records,
-                fsync_every=fsync_every,
                 group_commit_events=group_commit_events,
                 group_commit_bytes=group_commit_bytes,
                 start_after=start_after,

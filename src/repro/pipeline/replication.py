@@ -441,7 +441,7 @@ def promote_replica(
     wal_dir: str,
     *,
     segment_max_records: int = 128,
-    fsync_every: int = 1,
+    group_commit_events: int = 1,
     fault_injector: Optional[Any] = None,
 ) -> EventJournal:
     """Turn a replica journal into a durable primary: replay its retained
@@ -464,13 +464,15 @@ def promote_replica(
         journal = _rebuild_journal(replica.batch_log, journal.snapshot_every)
         replica.journal = journal
     wal = WriteAheadLog(
-        wal_dir, segment_max_records=segment_max_records, fsync_every=fsync_every
+        wal_dir,
+        segment_max_records=segment_max_records,
+        group_commit_events=group_commit_events,
     )
     for batch in replica.batch_log:
         wal.append_batch([dict(raw) for raw in batch.events])
-    # With a group-commit window (fsync_every > 1) the replay tail may not
-    # be fsynced yet; the promoted journal is about to claim the whole
-    # batch log as durable, so make it true before the claim.
+    # With a group-commit window (group_commit_events > 1) the replay tail
+    # may not be fsynced yet; the promoted journal is about to claim the
+    # whole batch log as durable, so make it true before the claim.
     wal.flush_commit_window()
     journal.wal = wal
     journal._durable_events = replica.applied_events
@@ -485,7 +487,7 @@ def fail_over(
     wal_dir: str,
     *,
     segment_max_records: int = 128,
-    fsync_every: int = 1,
+    group_commit_events: int = 1,
     fault_injector: Optional[Any] = None,
 ) -> Tuple[EventJournal, ShardReplicator]:
     """Promote the most-advanced replica and rebuild the replication group.
@@ -503,7 +505,7 @@ def fail_over(
         best,
         wal_dir,
         segment_max_records=segment_max_records,
-        fsync_every=fsync_every,
+        group_commit_events=group_commit_events,
         fault_injector=fault_injector,
     )
     survivors: List[ReplicaState] = []
@@ -555,7 +557,7 @@ class ReplicatedShard:
         plan: Optional[FaultPlan] = None,
         snapshot_every: int = 32,
         segment_max_records: int = 128,
-        fsync_every: int = 1,
+        group_commit_events: int = 1,
         ack_replicas: Optional[int] = None,
         fault_injector: Optional[Any] = None,
         shard_id: int = 0,
@@ -563,7 +565,7 @@ class ReplicatedShard:
         self.directory = directory
         self.shard_id = shard_id
         self.segment_max_records = segment_max_records
-        self.fsync_every = fsync_every
+        self.group_commit_events = group_commit_events
         self.epoch = 0
         self.fail_overs = 0
         self.primary = EventJournal(
@@ -571,7 +573,7 @@ class ReplicatedShard:
             wal=WriteAheadLog(
                 self.epoch_dir(0),
                 segment_max_records=segment_max_records,
-                fsync_every=fsync_every,
+                group_commit_events=group_commit_events,
             ),
             fault_injector=fault_injector,
         )
@@ -611,7 +613,7 @@ class ReplicatedShard:
             self.replicator,
             self.epoch_dir(self.epoch),
             segment_max_records=self.segment_max_records,
-            fsync_every=self.fsync_every,
+            group_commit_events=self.group_commit_events,
             fault_injector=injector,
         )
         self.primary = promoted
@@ -648,7 +650,7 @@ class ReplicationManager:
         max_lag_events: int = 0,
         executor: Optional[Any] = None,
         segment_max_records: int = 128,
-        fsync_every: int = 1,
+        group_commit_events: int = 1,
     ) -> None:
         if replication_factor < 1:
             raise ValueError("ReplicationManager requires replication_factor >= 1")
@@ -659,7 +661,7 @@ class ReplicationManager:
         self.max_lag_events = max_lag_events
         self.executor = executor
         self.segment_max_records = segment_max_records
-        self.fsync_every = fsync_every
+        self.group_commit_events = group_commit_events
         self.replicators = [
             ShardReplicator(
                 shard_journal,
@@ -760,7 +762,7 @@ class ReplicationManager:
             self.replicators[shard],
             wal_dir,
             segment_max_records=self.segment_max_records,
-            fsync_every=self.fsync_every,
+            group_commit_events=self.group_commit_events,
             fault_injector=old.fault_injector,
         )
         self.journal.replace_shard(shard, promoted)

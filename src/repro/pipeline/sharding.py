@@ -61,7 +61,7 @@ class ShardRecoveryError(RuntimeError):
 def _recover_shard(
     shard: int, directory: str, snapshot_every: int, kwargs: Dict[str, Any]
 ) -> EventJournal:
-    """One shard's WAL replay — a picklable unit for parallel recovery."""
+    """One shard's WAL replay — the work unit of parallel recovery."""
     try:
         return EventJournal.recover(directory, snapshot_every=snapshot_every, **kwargs)
     except ShardRecoveryError:
@@ -142,8 +142,7 @@ class ShardedJournal:
         snapshot_every: int = 32,
         *,
         segment_max_records: int = 128,
-        fsync_every: int = 1,
-        group_commit_events: Optional[int] = None,
+        group_commit_events: int = 1,
         group_commit_bytes: Optional[int] = None,
         fault_injector: Optional[Any] = None,
     ) -> "ShardedJournal":
@@ -156,7 +155,6 @@ class ShardedJournal:
             wal = WriteAheadLog(
                 shard_map.shard_dir(directory, shard),
                 segment_max_records=segment_max_records,
-                fsync_every=fsync_every,
                 group_commit_events=group_commit_events,
                 group_commit_bytes=group_commit_bytes,
             )
@@ -182,12 +180,9 @@ class ShardedJournal:
         rebuilt shard-major (see the module docstring).
 
         ``executor`` (a :class:`~repro.pipeline.executors.ShardExecutor`)
-        replays the per-shard WALs concurrently: the thread backend
-        overlaps shard replays in-process; the process backend replays
-        each shard in a worker with ``reopen=False`` and no fault
-        injector (neither survives pickling), then reopens the WAL and
-        reattaches the injector in the parent — so the recovered journal
-        is identical to serial recovery regardless of backend.
+        replays the per-shard WALs concurrently; every shard replay is the
+        same call as in serial recovery, so the recovered journal is
+        identical regardless of backend.
         """
         shard_map = shard_map or ShardMap(1)
         dirs = [shard_map.shard_dir(directory, shard) for shard in range(shard_map.shards)]
@@ -196,30 +191,6 @@ class ShardedJournal:
                 _recover_shard(shard, d, snapshot_every, dict(kwargs))
                 for shard, d in enumerate(dirs)
             ]
-        elif getattr(executor, "kind", "serial") == "process":
-            from repro.pipeline.wal import WriteAheadLog
-
-            child_kwargs = dict(kwargs, reopen=False, fault_injector=None)
-            journals = executor.map_shards(
-                _recover_shard,
-                [(shard, d, snapshot_every, child_kwargs) for shard, d in enumerate(dirs)],
-            )
-            if kwargs.get("reopen", True):
-                for journal, d in zip(journals, dirs):
-                    journal.wal = WriteAheadLog(
-                        d,
-                        segment_max_records=kwargs.get("segment_max_records", 128),
-                        fsync_every=kwargs.get("fsync_every", 1),
-                        group_commit_events=kwargs.get("group_commit_events"),
-                        group_commit_bytes=kwargs.get("group_commit_bytes"),
-                        start_after=(
-                            journal.cold_store.through_segment
-                            if journal.cold_store is not None
-                            else -1
-                        ),
-                    )
-            for journal in journals:
-                journal.fault_injector = kwargs.get("fault_injector")
         else:
             journals = executor.map_shards(
                 _recover_shard,

@@ -26,11 +26,11 @@ Durability is governed by a *group-commit window*: every ``append_batch``
 still reaches the OS page cache immediately (``flush``), but the fsync
 that makes it durable may be deferred until ``group_commit_events``
 records or ``group_commit_bytes`` bytes have accumulated since the last
-sync (``fsync_every`` is the legacy alias for the event bound).  Callers
-that need to act only once a batch is durable pass ``on_durable`` — the
-callback queues until the covering fsync and fires immediately after it,
-so replication ship-eligibility and subscription delivery stay anchored
-to real durability even when many batches share one sync.
+sync.  Callers that need to act only once a batch is durable pass
+``on_durable`` — the callback queues until the covering fsync and fires
+immediately after it, so replication ship-eligibility and subscription
+delivery stay anchored to real durability even when many batches share
+one sync.
 
 Two storage optimizations live at this layer:
 
@@ -244,26 +244,21 @@ class WriteAheadLog:
         directory: str,
         *,
         segment_max_records: int = 128,
-        fsync_every: int = 1,
-        group_commit_events: Optional[int] = None,
+        group_commit_events: int = 1,
         group_commit_bytes: Optional[int] = None,
         start_after: int = -1,
         crash_hook: Optional[Callable[[str], None]] = None,
     ) -> None:
         if segment_max_records < 1:
             raise ValueError("segment_max_records must be >= 1")
-        if fsync_every < 1:
-            raise ValueError("fsync_every must be >= 1")
-        if group_commit_events is not None and group_commit_events < 1:
+        if group_commit_events < 1:
             raise ValueError("group_commit_events must be >= 1")
         if group_commit_bytes is not None and group_commit_bytes < 1:
             raise ValueError("group_commit_bytes must be >= 1")
         self.directory = str(directory)
         self.segment_max_records = segment_max_records
-        #: Commit window: fsync after this many records (fsync_every alias)...
-        self.group_commit_events = (
-            group_commit_events if group_commit_events is not None else fsync_every
-        )
+        #: Commit window: fsync after this many records...
+        self.group_commit_events = group_commit_events
         #: ...or after this many bytes, whichever fills first (None = events only).
         self.group_commit_bytes = group_commit_bytes
         self.stats = WalStats()
@@ -284,11 +279,6 @@ class WriteAheadLog:
         self._segment_records = scan.tail_records
         self.stats.segments = max(1, len(scan.segment_indices))
         self._open_segment()
-
-    @property
-    def fsync_every(self) -> int:
-        """Legacy alias for the event bound of the group-commit window."""
-        return self.group_commit_events
 
     # -- file management ---------------------------------------------------
 

@@ -6,17 +6,9 @@ queue deduplicates bindings within a cooldown window (repeat L4 hits on a
 daily tier must not multiply L7 work) and supports priorities so real-time
 user requests and CVE-response scans jump ahead of background candidates.
 
-The queue is keyspace-sharded to mirror the journal layer: candidates
-route to one of N shard heaps via ``shard_of`` (an ip_index → shard
-function, typically the journal's :class:`~repro.pipeline.sharding.ShardMap`
-applied to the host entity id).  Two drain modes:
-
-* :meth:`pop_ready` — the global drain: a k-way merge over the shard
-  heads in (not_before, priority, arrival) order.  Because arrival
-  counters are global, the merged order is **identical for every shard
-  count** — the property the shard-invariance suite relies on.
-* :meth:`pop_ready_shard` — one shard only, for independently scheduled
-  per-shard interrogation workers (round-robin or per-shard budgets).
+One heap ordered by (not_before, priority, arrival) and one dedup map: the
+drain order does not depend on the journal's shard count, because nothing
+here does.
 
 Dedup state is bounded: ``pop_ready`` prunes ``_last_enqueued`` entries
 older than the cooldown window.  Pruning cannot change dedup decisions —
@@ -28,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["ScanCandidate", "ScanQueue"]
 
@@ -62,35 +54,20 @@ _Item = Tuple[float, int, int, ScanCandidate]
 
 
 class ScanQueue:
-    """Sharded priority queue with per-binding dedup cooldown."""
+    """Priority queue with per-binding dedup cooldown."""
 
-    def __init__(
-        self,
-        dedup_window_hours: float = 12.0,
-        shards: int = 1,
-        shard_of: Optional[Callable[[int], int]] = None,
-    ) -> None:
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
+    def __init__(self, dedup_window_hours: float = 12.0) -> None:
         self.dedup_window = dedup_window_hours
-        self.shards = shards
-        self._shard_of = shard_of
-        self._heaps: List[List[_Item]] = [[] for _ in range(shards)]
+        self._heap: List[_Item] = []
         self._counter = 0
-        self._last_enqueued: List[Dict[Tuple[int, int, str], float]] = [{} for _ in range(shards)]
+        self._last_enqueued: Dict[Tuple[int, int, str], float] = {}
         self.enqueued = 0
         self.deduplicated = 0
         self.pruned = 0
 
-    def _shard(self, ip_index: int) -> int:
-        if self.shards == 1 or self._shard_of is None:
-            return 0
-        return self._shard_of(ip_index) % self.shards
-
     def push(self, candidate: ScanCandidate) -> bool:
         """Enqueue unless the binding was queued within the cooldown."""
-        shard = self._shard(candidate.ip_index)
-        last_map = self._last_enqueued[shard]
+        last_map = self._last_enqueued
         last = last_map.get(candidate.binding)
         if (
             last is not None
@@ -103,7 +80,7 @@ class ScanQueue:
         # Ordered by readiness first, then priority: pop_ready stops at the
         # first not-yet-due candidate, so draining is O(ready), not O(queue).
         heapq.heappush(
-            self._heaps[shard], (candidate.not_before, candidate.priority, self._counter, candidate)
+            self._heap, (candidate.not_before, candidate.priority, self._counter, candidate)
         )
         self._counter += 1
         self.enqueued += 1
@@ -133,39 +110,10 @@ class ScanQueue:
     # -- draining ----------------------------------------------------------
 
     def pop_ready(self, now: float, limit: Optional[int] = None) -> List[ScanCandidate]:
-        """Dequeue due candidates in global (not_before, priority, arrival)
-        order — a k-way merge over the shard heaps, identical to the
-        single-heap order for any shard count."""
+        """Dequeue due candidates in (not_before, priority, arrival) order."""
         self._prune(now)
         ready: List[ScanCandidate] = []
-        heaps = self._heaps
-        if self.shards == 1:
-            heap = heaps[0]
-            while heap and heap[0][0] <= now:
-                if limit is not None and len(ready) >= limit:
-                    break
-                ready.append(heapq.heappop(heap)[3])
-            return ready
-        while True:
-            if limit is not None and len(ready) >= limit:
-                break
-            best: Optional[int] = None
-            for shard, heap in enumerate(heaps):
-                if heap and heap[0][0] <= now:
-                    if best is None or heap[0][:3] < heaps[best][0][:3]:
-                        best = shard
-            if best is None:
-                break
-            ready.append(heapq.heappop(heaps[best])[3])
-        return ready
-
-    def pop_ready_shard(
-        self, shard: int, now: float, limit: Optional[int] = None
-    ) -> List[ScanCandidate]:
-        """Dequeue due candidates from one shard only (independent drain)."""
-        self._prune_shard(shard, now)
-        ready: List[ScanCandidate] = []
-        heap = self._heaps[shard]
+        heap = self._heap
         while heap and heap[0][0] <= now:
             if limit is not None and len(ready) >= limit:
                 break
@@ -175,13 +123,9 @@ class ScanQueue:
     # -- dedup-state bounding ----------------------------------------------
 
     def _prune(self, now: float) -> None:
-        for shard in range(self.shards):
-            self._prune_shard(shard, now)
-
-    def _prune_shard(self, shard: int, now: float) -> None:
         """Drop cooldown entries that can no longer suppress anything."""
         window = self.dedup_window
-        last_map = self._last_enqueued[shard]
+        last_map = self._last_enqueued
         expired = [binding for binding, t in last_map.items() if now - t >= window]
         for binding in expired:
             del last_map[binding]
@@ -191,10 +135,7 @@ class ScanQueue:
 
     @property
     def dedup_map_size(self) -> int:
-        return sum(len(m) for m in self._last_enqueued)
-
-    def backlog_per_shard(self) -> List[int]:
-        return [len(heap) for heap in self._heaps]
+        return len(self._last_enqueued)
 
     def stats(self) -> Dict[str, Any]:
         """Queue accounting for the platform's traffic report."""
@@ -204,8 +145,7 @@ class ScanQueue:
             "pruned": self.pruned,
             "backlog": len(self),
             "dedup_map_size": self.dedup_map_size,
-            "backlog_per_shard": self.backlog_per_shard(),
         }
 
     def __len__(self) -> int:
-        return sum(len(heap) for heap in self._heaps)
+        return len(self._heap)

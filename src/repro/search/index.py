@@ -20,7 +20,6 @@ reindex handler keeps search in sync with the write side.
 from __future__ import annotations
 
 import math
-import pickle
 import threading
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
 
@@ -77,25 +76,6 @@ class SearchIndex:
         #: thread executor can hit different shards concurrently while each
         #: shard's postings/columns stay internally consistent.
         self._lock = threading.RLock()
-
-    # -- replication support -------------------------------------------------
-
-    def __getstate__(self) -> Dict[str, Any]:
-        """Pickle support: the process executor ships shard replicas."""
-        state = dict(self.__dict__)
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
-
-    def snapshot_bytes(self) -> Tuple[int, bytes]:
-        """(generation, pickled self) captured under the shard lock, so the
-        replica a process worker installs is exactly the state at that
-        generation — never a half-applied mutation or half-built column."""
-        with self._lock:
-            return self.generation, pickle.dumps(self, pickle.HIGHEST_PROTOCOL)
 
     # -- document management ------------------------------------------------
 

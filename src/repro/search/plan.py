@@ -15,9 +15,9 @@ It owns the two halves of query execution that used to be welded into
   against one flattened document, which is also the primitive the
   standing-query engine calls per event.
 
-Plans are plain frozen dataclasses (no stored closures), so the process
-executor ships one compiled plan to its shard workers per scatter instead
-of a query string each shard re-parses.  Equality and hashing follow
+Plans are plain frozen dataclasses (no stored closures): a router hands
+one compiled plan to every shard per scatter instead of a query string
+each shard re-parses.  Equality and hashing follow
 ``key`` — the rendered canonical form — so ``a and b`` and ``b and a``
 compile to *equal* plans and share result-cache entries.
 

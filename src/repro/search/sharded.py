@@ -19,20 +19,18 @@ stable order:
   a live doc keeps its slot only if the single index would; SearchIndex.put
   delete-then-inserts, moving the doc to the end, so the router does too).
 
-Parallel scatter (PR 6): the per-shard fan-out runs through a pluggable
+Parallel scatter: the per-shard fan-out runs through a pluggable
 :class:`~repro.pipeline.executors.ShardExecutor`.  The default
 :class:`~repro.pipeline.executors.SerialExecutor` preserves the original
 serial loop bit-identically; the thread backend overlaps shards against
-the live in-process indexes (each shard serializes on its own lock); the
-process backend ships generation-validated shard replicas to persistent
-workers and sends only ``(op, plan, limit)`` per query once the replica
-is warm.  Results are bit-identical across backends because every shard
-task is a pure function of (shard state at a generation, query).
+the live in-process indexes (each shard serializes on its own lock).
+Results are bit-identical across backends because every shard task is a
+pure function of (shard state at a generation, query).
 
 Queries compile once at the router (strings hit the process-wide plan
-cache) and the *compiled plan* is what ships to shards — never query
-text.  Repeated interactive queries are served from a bounded
-:class:`~repro.pipeline.cache.VersionedLRU` keyed on
+cache) and the *compiled plan* is what every shard executes — shards
+never re-parse query text.  Repeated interactive queries are served from
+a bounded :class:`~repro.pipeline.cache.VersionedLRU` keyed on
 ``(op, canonical plan key, limit)`` — so semantically equal spellings
 share entries — and validated against the tuple of per-shard
 *generations* — ``put``/``delete`` bump only the owning shard's counter,
@@ -59,29 +57,12 @@ from itertools import islice
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.pipeline.cache import MISS, VersionedLRU
-from repro.pipeline.executors import SerialExecutor, ShardExecutor, next_replica_key
+from repro.pipeline.executors import SerialExecutor, ShardExecutor
 from repro.pipeline.sharding import ShardMap
 from repro.search.index import SearchIndex
 from repro.search.plan import QueryPlan, compile_query
 
 __all__ = ["ShardedSearchIndex"]
-
-
-# Module-level shard tasks: picklable work units the process backend can
-# ship to its replica-holding workers (a bound method would drag the whole
-# index along on every call).  Each receives the compiled plan — compiled
-# once per scatter by the router — so shards never re-parse query text.
-
-def _shard_search(index: SearchIndex, plan: QueryPlan, limit: Optional[int]) -> List[str]:
-    return index.search(plan, limit=limit)
-
-
-def _shard_count(index: SearchIndex, plan: QueryPlan) -> int:
-    return index.count(plan)
-
-
-def _shard_aggregate(index: SearchIndex, plan: QueryPlan, field: str) -> Dict[Any, int]:
-    return index.aggregate(plan, field)
 
 
 class ShardedSearchIndex:
@@ -106,8 +87,6 @@ class ShardedSearchIndex:
         #: Guards the routing dict, the query counter, and generation
         #: snapshots so ``generations()`` is atomic w.r.t. writes.
         self._lock = threading.Lock()
-        #: Namespace for this router's shard replicas on process workers.
-        self._replica_key = next_replica_key("search-index")
 
     @property
     def shards(self) -> int:
@@ -206,21 +185,9 @@ class ShardedSearchIndex:
 
     # -- the parallel scatter ------------------------------------------------
 
-    def _snapshot_shard(self, shard: int) -> Tuple[int, bytes]:
-        """(generation, pickled shard) captured atomically for replication."""
-        with self._lock:
-            return self.indexes[shard].snapshot_bytes()
-
-    def _scatter(self, fn: Any, args: tuple, gens: Tuple[int, ...]) -> List[Any]:
+    def _scatter(self, fn: Any, *args: Any) -> List[Any]:
         """Run ``fn(index, *args)`` on every shard through the executor."""
-        return self.executor.map_stateful(
-            fn,
-            self.indexes,
-            [args] * len(self.indexes),
-            key=self._replica_key,
-            versions=list(gens),
-            snapshot=self._snapshot_shard,
-        )
+        return self.executor.map_shards(fn, [(index, *args) for index in self.indexes])
 
     def _bump_queries(self) -> None:
         with self._lock:
@@ -247,7 +214,7 @@ class ShardedSearchIndex:
             # Each shard's list is sorted ascending, so its first `limit`
             # ids form a superset of that shard's contribution to the
             # global first `limit`; the merge stops at `limit` elements.
-            per_shard = self._scatter(_shard_search, (plan, limit), gens)
+            per_shard = self._scatter(SearchIndex.search, plan, limit)
             merged = heapq.merge(*per_shard)
             hits = list(islice(merged, limit) if limit is not None else merged)
         self._cache_put_checked(("search", plan.key, limit), gens, hits)
@@ -264,7 +231,7 @@ class ShardedSearchIndex:
         if len(self.indexes) == 1 and self.executor.inline:
             total = self.indexes[0].count(plan)
         else:
-            total = sum(self._scatter(_shard_count, (plan,), gens))
+            total = sum(self._scatter(SearchIndex.count, plan))
         self._cache_put_checked(("count", plan.key, None), gens, total)
         return total
 
@@ -280,7 +247,7 @@ class ShardedSearchIndex:
         if len(self.indexes) == 1 and self.executor.inline:
             counts = self.indexes[0].aggregate(plan, field)
         else:
-            per_shard = self._scatter(_shard_aggregate, (plan, field), gens)
+            per_shard = self._scatter(SearchIndex.aggregate, plan, field)
             counts: Dict[Any, int] = {}
             for shard_counts in per_shard:
                 for value, count in shard_counts.items():

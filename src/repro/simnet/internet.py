@@ -744,10 +744,6 @@ class SimulatedInternet:
         loss_draw = _mix64(self.seed ^ salt * 0xC2B2 ^ vantage.vantage_id * 0x85EB ^ window)
         return (loss_draw % 10_000) >= vantage.loss_rate * 10_000
 
-    #: The name the equality gates import (``tests/test_vectorized_kernels.py``,
-    #: ``benchmarks/test_perf_regression.py``); one body, two names.
-    reachable_scalar = reachable
-
     # -- connections ----------------------------------------------------------
 
     def connect(

@@ -427,9 +427,9 @@ def run_failover_chaos(
             replication_factor=replicas,
             plan=plan,
             snapshot_every=snapshot_every,
-            # The WAL's group-commit event bound (fsync_every is its alias);
-            # every epoch of the lane, original and promoted, inherits it.
-            fsync_every=group_commit_events,
+            # The WAL's group-commit event bound; every epoch of the lane,
+            # original and promoted, inherits it.
+            group_commit_events=group_commit_events,
             ack_replicas=ack_replicas,
             fault_injector=None,
             shard_id=shard,

@@ -1,11 +1,12 @@
-"""The parallel shard execution tier (PR 6).
+"""The parallel shard execution tier.
 
-Pins the tentpole contract: every executor backend — serial, thread,
-process — produces **bit-identical** results for scatter-gather queries,
-WAL recovery, and the batch serving paths, for shard counts 1, 2, and 4.
-Plus the concurrency satellites: thread-safe versioned caches with
-contention accounting, idempotent close, nested-fan-out inlining, and
-the process backend's replica shipping / unpicklable-work fallback.
+Pins the contract: both executor backends — serial and thread — produce
+**bit-identical** results for scatter-gather queries, WAL recovery, and
+the batch serving paths, for shard counts 1, 2, and 4.  Plus the
+concurrency properties: thread-safe versioned caches with contention
+accounting, idempotent close, nested-fan-out inlining, and configs that
+name a backend or worker count that does not exist failing at
+construction.
 """
 
 from __future__ import annotations
@@ -17,10 +18,8 @@ import pytest
 from repro.core.platform import CensysPlatform, PlatformConfig
 from repro.pipeline import (
     EventKind,
-    ProcessShardExecutor,
     SerialExecutor,
     ShardMap,
-    ShardTaskError,
     ShardedJournal,
     ThreadShardExecutor,
     VersionedLRU,
@@ -29,9 +28,10 @@ from repro.pipeline import (
 from repro.pipeline.cache import MISS
 from repro.search import ShardedSearchIndex
 from repro.simnet import DAY, WorkloadConfig, build_simnet
+from tests.chaos_harness import journal_fingerprint
 
 SHARD_COUNTS = (1, 2, 4)
-BACKENDS = ("thread", "process")
+BACKENDS = ("thread",)
 
 QUERIES = (
     "services.service_name: HTTP",
@@ -72,7 +72,7 @@ def query_digest(index):
     }
 
 
-# -- module-level work units (picklable for the process backend) ------------
+# -- work units ---------------------------------------------------------------
 
 def _double(x):
     return x * 2
@@ -88,13 +88,25 @@ class TestExecutorBasics:
         assert make_executor("serial").kind == "serial"
         thread = make_executor("thread", workers=2)
         assert thread.kind == "thread" and thread.workers == 2
-        proc = make_executor("process")
-        assert proc.kind == "process" and proc.workers == 4
-        proc.close()
+        assert SerialExecutor().inline and not thread.inline
+        thread.close()
         existing = SerialExecutor()
         assert make_executor(existing) is existing
         with pytest.raises(ValueError):
             make_executor("gpu")
+
+    def test_zero_workers_is_rejected_not_defaulted(self):
+        """Only ``workers=None`` means "the default pool size"; an explicit
+        0 is a config error, not a silent 4."""
+        default = make_executor("thread")
+        assert default.workers == 4
+        default.close()
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            make_executor("thread", workers=0)
+
+    def test_process_backend_is_rejected_at_construction(self):
+        with pytest.raises(ValueError, match=r"serial \| thread\)"):
+            make_executor("process")
 
     @pytest.mark.parametrize("backend", ("serial",) + BACKENDS)
     def test_map_shards_order_and_stats(self, backend):
@@ -113,20 +125,10 @@ class TestExecutorBasics:
     def test_task_errors_propagate(self, backend):
         ex = make_executor(backend, workers=2)
         try:
-            with pytest.raises((ShardTaskError, ValueError)):
+            with pytest.raises(ValueError):
                 ex.map_shards(_boom, [(1,), (2,), (3,)])
-            # The pipes stay synchronized: the next scatter still works.
+            # The pool stays usable: the next scatter still works.
             assert ex.map_shards(_double, [(4,), (5,)]) == [8, 10]
-        finally:
-            ex.close()
-
-    def test_process_unpicklable_falls_back_to_threads(self):
-        ex = ProcessShardExecutor(workers=2)
-        try:
-            state = {"base": 10}
-            out = ex.map_shards(lambda x: state["base"] + x, [(1,), (2,)])
-            assert out == [11, 12]
-            assert ex.report()["inline_fallbacks"] == 1
         finally:
             ex.close()
 
@@ -146,13 +148,6 @@ class TestExecutorBasics:
             outer.close()
             inner.close()
 
-    def test_serial_latency_model_flagged_not_inline(self):
-        assert SerialExecutor().inline
-        assert not SerialExecutor(latency_ms=0.5).inline
-        assert SerialExecutor(latency_ms=0.5).report()["latency_ms"] == 0.5
-        with pytest.raises(ValueError):
-            SerialExecutor(latency_ms=-1.0)
-
 
 class TestScatterGatherEquality:
     """Tentpole invariant: backends are bit-identical to SerialExecutor."""
@@ -169,7 +164,7 @@ class TestScatterGatherEquality:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_writes_after_queries_stay_visible(self, backend):
-        """Replica staleness: a write after a warm scatter must be seen."""
+        """A write after a warm scatter must be seen by the next one."""
         ex = make_executor(backend, workers=2)
         try:
             index = build_index(4, ex)
@@ -238,24 +233,11 @@ class TestParallelRecovery:
                 str(tmp_path), ShardMap(shards), executor=ex
             )
             assert self._digest(recovered) == reference
-            # The parent reopened the WAL: appends resume post-recovery.
+            # The WAL was reopened: appends resume post-recovery.
             recovered.append(
                 "host:10.2.0.0", 99.0, EventKind.SERVICE_FOUND,
                 {"key": "443/tcp", "record": {}},
             )
-            recovered.close()
-        finally:
-            ex.close()
-
-    def test_process_recovery_reattaches_fault_injector(self, tmp_path):
-        self._write_corpus(tmp_path, 2)
-        ex = ProcessShardExecutor(workers=2)
-        sentinel = object()
-        try:
-            recovered = ShardedJournal.recover(
-                str(tmp_path), ShardMap(2), executor=ex, fault_injector=sentinel
-            )
-            assert all(j.fault_injector is sentinel for j in recovered.journals)
             recovered.close()
         finally:
             ex.close()
@@ -373,6 +355,104 @@ class TestBatchServing:
         plat.close()                     # idempotent
         assert plat.journal.closed
 
+    @pytest.mark.parametrize(
+        "overrides", [{"executor": "thread", "executor_workers": 0}, {"executor": "process"}]
+    )
+    def test_bad_executor_config_fails_at_construction(self, world, overrides):
+        with pytest.raises(ValueError):
+            CensysPlatform(world, PlatformConfig(shards=4, seed=31, **overrides))
+
+
+#: Standing queries that match live traffic in the oracle's world.
+LIVE_WATCHLIST = (
+    "services.protocol: http",
+    "services.service_name: SSH",
+    "services.port > 8000",
+    "services.tls.self_signed: true",
+)
+
+
+class TestEverythingOnOracle:
+    """The thread backend under the config the end-to-end benchmark runs it
+    in (``serve_under_ingest``: 4 shards, durable, group commit 64,
+    replication factor 2, compaction, live standing queries) equals the
+    serial twin on every surface: per-shard journals, answers,
+    notifications and accounting."""
+
+    @pytest.fixture(scope="class")
+    def twins(self, tmp_path_factory):
+        twins = {}
+        for backend in ("serial", "thread"):
+            # The benchmark's quick world; one world per twin, so nothing a
+            # run leaves in the simulated Internet can leak into the other.
+            world = build_simnet(
+                bits=13,
+                workload_config=WorkloadConfig(
+                    seed=6, services_target=600, t_start=-4 * DAY, t_end=2 * DAY
+                ),
+                seed=6,
+            )
+            plat = CensysPlatform(
+                world,
+                PlatformConfig(
+                    seed=6, predictive_daily_budget=300, shards=4,
+                    wal_dir=str(tmp_path_factory.mktemp(f"wal-{backend}")),
+                    group_commit_events=64, replication_factor=2,
+                    # A small world seals few segments in two days: fold
+                    # from the first one so the daily pass has work.
+                    compaction=True, compaction_min_sealed_segments=1,
+                    subscriptions=True, executor=backend, executor_workers=2,
+                ),
+                start_time=-2 * DAY,
+            )
+            for i, query in enumerate(LIVE_WATCHLIST):
+                plat.subscribe(query, sub_id=f"live-{i}")
+            plat.run_until(0.0, tick_hours=6.0)
+            twins[backend] = (plat, plat.drain_notifications())
+        yield twins
+        for plat, _notes in twins.values():
+            plat.close()
+
+    def test_the_run_exercised_every_subsystem(self, twins):
+        plat, notes = twins["thread"]
+        report = plat.traffic_report()
+        assert report["executor"]["kind"] == "thread"
+        assert report["executor"]["batches"] > 0
+        assert report["storage"]["compaction"]["segments_compacted"] > 0
+        assert report["replication"]["enabled"]
+        assert notes
+
+    def test_journals_match_shard_by_shard(self, twins):
+        serial, thread = twins["serial"][0], twins["thread"][0]
+        assert [journal_fingerprint(j) for j in thread.journal.journals] == [
+            journal_fingerprint(j) for j in serial.journal.journals
+        ]
+        # Global first-append order and index put order: the cross-shard
+        # state the parallel ingest merge rebuilds serially.
+        assert list(thread.journal.entity_ids()) == list(serial.journal.entity_ids())
+        assert list(thread.index.doc_ids()) == list(serial.index.doc_ids())
+
+    def test_answers_and_notifications_match(self, twins):
+        (serial, serial_notes), (thread, thread_notes) = twins["serial"], twins["thread"]
+        assert thread_notes == serial_notes
+        sample = [i.ip_index for i in serial.internet.services_alive_at(0.0)[:40]]
+        assert [thread.lookup_host(i) for i in sample] == [
+            serial.lookup_host(i) for i in sample
+        ]
+        for query in LIVE_WATCHLIST + QUERIES:
+            assert thread.search(query) == serial.search(query), query
+            assert thread.index.aggregate(query, "services.port") == serial.index.aggregate(
+                query, "services.port"
+            ), query
+
+    def test_traffic_reports_match_apart_from_the_executor(self, twins):
+        reports = {}
+        for backend, (plat, _notes) in twins.items():
+            report = plat.traffic_report()
+            report.pop("executor")
+            reports[backend] = report
+        assert reports["thread"] == reports["serial"]
+
 
 class TestThreadSafety:
     def test_versioned_lru_hammer(self):
@@ -460,27 +540,6 @@ class TestThreadSafety:
         for doc_id, doc in index.items():
             reference.put(doc_id, doc)
         assert query_digest(index) == query_digest(reference)
-
-    def test_concurrent_scatters_through_process_backend(self):
-        ex = ProcessShardExecutor(workers=2)
-        index = build_index(4, ex, query_cache_entries=0)
-        reference = query_digest(build_index(4, SerialExecutor()))
-        errors = []
-
-        def client():
-            try:
-                for _ in range(5):
-                    assert query_digest(index) == reference
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        threads = [threading.Thread(target=client) for _ in range(3)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        ex.close()
-        assert not errors
 
 
 class TestIdempotentClose:

@@ -333,7 +333,7 @@ class TestAggregateCounters:
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "thread"])
 @pytest.mark.parametrize("shards", [1, 2, 4])
 def test_plan_path_digest_identical_to_reference(shards, backend):
     docs = build_docs(60)

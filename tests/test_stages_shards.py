@@ -33,10 +33,10 @@ def small_world(seed=6):
     )
 
 
-def run_platform(shards, shard_drain="merged", days=8.0, seed=6):
+def run_platform(shards, days=8.0, seed=6):
     plat = CensysPlatform(
         small_world(seed),
-        PlatformConfig(predictive_daily_budget=300, seed=seed, shards=shards, shard_drain=shard_drain),
+        PlatformConfig(predictive_daily_budget=300, seed=seed, shards=shards),
         start_time=-days * DAY,
     )
     plat.run_until(0.0, tick_hours=6.0)
@@ -185,30 +185,6 @@ class TestQueueShardingAndPruning:
         queue.pop_ready(now=20.0)  # past the window: entry pruned
         assert queue.push_new(1, 80, "tcp", source="discovery", not_before=20.5)
 
-    def test_merged_drain_matches_single_heap_order(self):
-        def route(ip_index):
-            return ip_index % 3
-
-        single = ScanQueue()
-        sharded = ScanQueue(shards=3, shard_of=route)
-        for queue in (single, sharded):
-            for i in range(60):
-                queue.push_new(i, 80 + (i % 5), "tcp", source="discovery", not_before=float(i % 7))
-        assert single.pop_ready(10.0) == sharded.pop_ready(10.0)
-
-    def test_per_shard_drain_only_touches_one_shard(self):
-        sharded = ScanQueue(shards=2, shard_of=lambda ip: ip % 2)
-        for i in range(10):
-            sharded.push_new(i, 80, "tcp", source="discovery", not_before=0.0)
-        popped = sharded.pop_ready_shard(0, now=1.0)
-        assert popped and all(c.ip_index % 2 == 0 for c in popped)
-        assert sharded.backlog_per_shard() == [0, 5]
-
-    def test_round_robin_platform_drain_still_converges(self):
-        plat = run_platform(2, shard_drain="round_robin", days=4.0)
-        assert plat.observations_processed > 0
-        assert len(plat.index) > 0
-
 
 class TestStagedFacade:
     @pytest.fixture(scope="class")
@@ -302,8 +278,7 @@ class TestTrafficReportSchema:
             "histories_served", "snapshots_taken", "documents_exported",
         }
         assert set(report["queue"]) == {
-            "enqueued", "deduplicated", "pruned", "backlog",
-            "dedup_map_size", "backlog_per_shard",
+            "enqueued", "deduplicated", "pruned", "backlog", "dedup_map_size",
         }
         assert set(report["scheduler"]) == {"tracked_services", "pending_eviction", "evictions"}
         assert set(report["shards"]) == {
@@ -326,7 +301,7 @@ class TestTrafficReportSchema:
             assert set(report["read_cache"][block]) == cache_keys, block
         # Satellite: the executor block (parallel shard execution tier).
         assert set(report["executor"]) == {
-            "kind", "workers", "latency_ms", "batches", "tasks", "inline_fallbacks",
+            "kind", "workers", "batches", "tasks", "inline_fallbacks",
         }
         assert report["executor"]["kind"] == "serial"
         # Satellite: the replication block (off by default — factor 0 must

@@ -86,11 +86,10 @@ class TestReachableMany:
         for vantage in VANTAGES:
             batched = net.reachable_many(ips, vantage, times, salts)
             for i in range(n):
-                scalar = net.reachable_scalar(
+                scalar = net.reachable(
                     int(ips[i]), vantage, float(times[i]), int(salts[i])
                 )
                 assert bool(batched[i]) == scalar
-                assert net.reachable(int(ips[i]), vantage, float(times[i]), int(salts[i])) == scalar
 
     def test_week_boundary_crossing_uses_vector_path(self, net):
         """Times straddling a routing week must agree with the scalar path
@@ -101,11 +100,11 @@ class TestReachableMany:
         vantage = VANTAGES[0]
         batched = net.reachable_many(ips, vantage, times, [1, 2, 3, 4])
         for ip, t, salt, got in zip(ips, times, [1, 2, 3, 4], batched):
-            assert bool(got) == net.reachable_scalar(ip, vantage, t, salt)
+            assert bool(got) == net.reachable(ip, vantage, t, salt)
 
     def test_scalar_inputs_broadcast(self, net):
         assert bool(net.reachable_many(3, VANTAGES[0], 12.0, 7).reshape(()).item()) == (
-            net.reachable_scalar(3, VANTAGES[0], 12.0, 7)
+            net.reachable(3, VANTAGES[0], 12.0, 7)
         )
 
 
@@ -179,8 +178,6 @@ class TestReachableIsTheScalarPhysics:
                     assert got.tolist() == [False, False]
 
     def test_one_scalar_body_and_no_array_detour_on_connect(self, net, monkeypatch):
-        assert type(net).reachable_scalar is type(net).reachable
-
         def no_kernel(*args, **kwargs):
             raise AssertionError("connect() went through the array kernel")
 

@@ -191,12 +191,12 @@ class TestDurableJournal:
         recovered.close()
 
     def test_fsync_accounting(self, tmp_path):
-        journal = durable_journal(tmp_path, fsync_every=1)
+        journal = durable_journal(tmp_path, group_commit_events=1)
         fill(journal, n=5)
         assert journal.wal.stats.fsyncs == journal.stats.wal_batches
         journal.close()
         batched = EventJournal(
-            snapshot_every=3, wal=WriteAheadLog(str(tmp_path / "wal2"), fsync_every=4)
+            snapshot_every=3, wal=WriteAheadLog(str(tmp_path / "wal2"), group_commit_events=4)
         )
         fill(batched, n=5)
         assert batched.wal.stats.fsyncs < batched.stats.wal_batches
@@ -256,16 +256,6 @@ class TestDurableJournal:
         assert fired == [0]
         assert wal.stats.fsyncs >= 1
 
-    def test_fsync_every_is_group_commit_alias(self, tmp_path):
-        legacy = WriteAheadLog(str(tmp_path / "a"), fsync_every=5)
-        assert legacy.fsync_every == 5
-        assert legacy.group_commit_events == 5
-        legacy.close()
-        explicit = WriteAheadLog(str(tmp_path / "b"), fsync_every=2, group_commit_events=7)
-        assert explicit.group_commit_events == 7
-        assert explicit.fsync_every == 7
-        explicit.close()
-
     def test_every_real_fsync_is_counted(self, tmp_path, monkeypatch):
         """WalStats.fsyncs equals the number of actual os.fsync calls,
         across window fsyncs, torn-path fsyncs, rotation, and close."""
@@ -289,7 +279,7 @@ class TestDurableJournal:
         assert wal.stats.fsyncs > 0
 
     def test_group_commit_recovery_identical_to_reference(self, tmp_path):
-        reference = durable_journal(tmp_path, fsync_every=1)
+        reference = durable_journal(tmp_path, group_commit_events=1)
         fill(reference, n=12)
         reference.close()
         windowed_wal = WriteAheadLog(str(tmp_path / "wal-g"), group_commit_events=5)
@@ -372,25 +362,6 @@ class TestShardRecoveryErrors:
                     executor=executor, reopen=False,
                 )
             assert excinfo.value.shard == 1
-        finally:
-            executor.close()
-
-    def test_process_recovery_attributes_the_task(self, tmp_path):
-        from repro.pipeline import ProcessShardExecutor, ShardTaskError, ShardedJournal
-
-        shard_map = self._corrupted_sharded_wal(tmp_path)
-        executor = ProcessShardExecutor(workers=2)
-        try:
-            with pytest.raises(ShardTaskError) as excinfo:
-                ShardedJournal.recover(
-                    str(tmp_path), shard_map, snapshot_every=3,
-                    executor=executor, reopen=False,
-                )
-            # The worker boundary pickles the error into text, but the task
-            # index and the shard id in the message both survive.
-            assert excinfo.value.task_index == 1
-            assert "shard task 1 failed" in str(excinfo.value)
-            assert "shard 01" in str(excinfo.value)
         finally:
             executor.close()
 
