@@ -245,7 +245,6 @@ class CensysPlatform:
         self.index = ShardedSearchIndex(
             self.shard_map,
             query_cache_entries=cfg.query_cache_entries if cfg.read_cache else 0,
-            executor=self.executor,
         )
 
         # -- shared scanning components ------------------------------------
@@ -316,7 +315,6 @@ class CensysPlatform:
         self.serving = ServingLayer(
             internet, self.journal, self.read_side, self.index,
             reconstruction_cache=self.reconstruction_cache,
-            executor=self.executor,
             replication=self.replication,
         )
         self.stages = [
@@ -489,7 +487,7 @@ class CensysPlatform:
     def lookup_many(
         self, ip_indexes: List[int], at: Optional[float] = None
     ) -> List[Dict[str, Any]]:
-        """Batch host lookup, overlapped across shards by the executor."""
+        """Batch host lookup: one :meth:`lookup_host` per address."""
         return self.serving.lookup_many(ip_indexes, at=at)
 
     def host_view(self, ip_index: int, at: Optional[float] = None):
@@ -514,7 +512,7 @@ class CensysPlatform:
     def search_many(
         self, queries: List[str], limit: Optional[int] = None
     ) -> List[List[str]]:
-        """Batch search, overlapped across queries by the executor."""
+        """Batch search: one :meth:`search` per query."""
         return self.serving.search_many(queries, limit=limit)
 
     # -- standing queries -----------------------------------------------------

@@ -17,9 +17,8 @@ from repro.certs import cert_entity_id
 from repro.core.stages.base import StageCounters
 from repro.net import ip_to_str
 from repro.pipeline import EventJournal, ReadSide, ReconstructionCache, host_entity_id
-from repro.pipeline.executors import SerialExecutor, ShardExecutor
 from repro.pipeline.sharding import ShardedJournal
-from repro.search import QueryPlan, ShardedSearchIndex, SnapshotStore, compile_query
+from repro.search import QueryPlan, ShardedSearchIndex, SnapshotStore
 from repro.simnet import SimulatedInternet
 
 __all__ = ["ServingLayer"]
@@ -36,7 +35,6 @@ class ServingLayer:
         index: ShardedSearchIndex,
         analytics: Optional[SnapshotStore] = None,
         reconstruction_cache: Optional[ReconstructionCache] = None,
-        executor: Optional[ShardExecutor] = None,
         replication: Optional[Any] = None,
     ) -> None:
         self.internet = internet
@@ -46,8 +44,6 @@ class ServingLayer:
         self.analytics = analytics or SnapshotStore()
         #: Versioned memo over journal.reconstruct; None = uncached reads.
         self.reconstruction_cache = reconstruction_cache
-        #: Fan-out backend for the batch endpoints (serial = reference).
-        self.executor = executor or SerialExecutor()
         #: Bounded-staleness replica reads (a ReplicationManager); None or
         #: a manager with serve_reads=False keeps every read on the primary.
         self.replication = replication
@@ -102,38 +98,14 @@ class ServingLayer:
     def lookup_many(
         self, ip_indexes: List[int], at: Optional[float] = None
     ) -> List[Dict[str, Any]]:
-        """Batch host lookup: overlap independent requests across shards.
+        """Batch host lookup: :meth:`lookup_host` per address, in input order.
 
-        Requests are grouped by owning journal shard and each group is
-        reconstructed through the executor, so shard groups proceed
-        concurrently under the thread backend while results come back in
-        input order.  Serial executor (the default) degenerates to the
-        plain loop, bit-identical to calling :meth:`lookup_host` N times.
+        Equal to N single lookups in answers and in every counter,
+        replica reads included.  It runs on the caller's thread: the
+        journal shards are in-process, so a pool would overlap nothing
+        under the interpreter lock (DESIGN §5d).
         """
-        entity_ids = [self.entity_for_ip(i) for i in ip_indexes]
-        self.counters.bump("lookups_served", len(entity_ids))
-        if self.executor.inline or len(entity_ids) <= 1:
-            return [self.read_side.lookup(eid, at=at) for eid in entity_ids]
-
-        shard_of = getattr(self.journal, "shard_of", None)
-        groups: Dict[int, List[int]] = {}
-        for pos, eid in enumerate(entity_ids):
-            shard = shard_of(eid) if shard_of is not None else 0
-            groups.setdefault(shard, []).append(pos)
-
-        def _lookup_group(positions: List[int]) -> List[tuple]:
-            return [
-                (pos, self.read_side.lookup(entity_ids[pos], at=at))
-                for pos in positions
-            ]
-
-        results: List[Any] = [None] * len(entity_ids)
-        for chunk in self.executor.map_shards(
-            _lookup_group, [(positions,) for positions in groups.values()]
-        ):
-            for pos, view in chunk:
-                results[pos] = view
-        return results
+        return [self.lookup_host(i, at=at) for i in ip_indexes]
 
     def host_history(
         self,
@@ -177,23 +149,9 @@ class ServingLayer:
     def search_many(
         self, queries: List[Union[str, "QueryPlan"]], limit: Optional[int] = None
     ) -> List[List[str]]:
-        """Batch search: overlap independent queries through the executor.
-
-        Each query's own scatter-gather runs inline inside the worker
-        (the executors' nested-depth guard prevents pool starvation), so
-        parallelism comes from overlapping whole queries rather than
-        nesting fan-outs.  Results come back in input order.  Queries are
-        compiled before the fan-out, so workers receive plans, not text.
-        """
-        self.counters.bump("searches_served", len(queries))
-        plans = [compile_query(q) for q in queries]
-        if self.executor.inline or len(plans) <= 1:
-            return [self.index.search(p, limit=limit) for p in plans]
-
-        def _one(plan: "QueryPlan") -> List[str]:
-            return self.index.search(plan, limit=limit)
-
-        return self.executor.map_shards(_one, [(p,) for p in plans])
+        """Batch search: :meth:`search` per query, in input order, on the
+        caller's thread (each query's shard scatter is already a loop)."""
+        return [self.search(q, limit=limit) for q in queries]
 
     # -- analytics / raw data --------------------------------------------------
 

@@ -3,12 +3,11 @@
 Production Censys fans every scatter-gather — search, aggregation,
 recovery — across shard backends that live on *other machines*; the
 gateway's cost per query is one RPC per shard plus a k-way merge, and the
-shards compute concurrently.  Until now this reproduction's sharded
-layers (:class:`~repro.search.sharded.ShardedSearchIndex`,
-:class:`~repro.pipeline.sharding.ShardedJournal`) looped over shards
-serially, so adding shards bought isolation but zero speedup.
+shards compute concurrently.  Here the shards are in-process Python
+objects, and the interpreter lock runs one Python task at a time, so a
+pool overlaps only work that waits (file I/O, fsync).
 
-This module is the execution tier between the routers and the shards:
+This module is the execution tier for the shard work that is not a read:
 
 * :class:`SerialExecutor` — the in-process reference backend.  Runs every
   shard task inline, in shard order; the default everywhere, bit-identical
@@ -18,12 +17,19 @@ This module is the execution tier between the routers and the shards:
   objects carry their own locks), so it composes with the versioned
   read-path caches unchanged.
 
+Its users are a tick's per-shard write groups
+(``WriteSideProcessor.submit_many``), the replication pump and
+``ShardedJournal.recover``.  Reads — search, count, aggregate, lookups
+and the batch read endpoints — loop over shards on the caller's thread:
+on the pool they would pay a thread hand-off per shard and overlap
+nothing (DESIGN §5d).
+
 Both share one interface, ``map_shards(fn, args_list)``: apply
 ``fn(*args_list[i])`` per shard task, returning results in task order.
 
-Nested fan-out (a batch request whose per-request work scatters again)
-runs the inner scatter inline on the worker that owns the outer task —
-one level of parallelism, no pool-starvation deadlocks.
+Nested fan-out (a shard task that calls ``map_shards`` again) runs the
+inner scatter inline on the worker that owns the outer task — one level
+of parallelism, no pool-starvation deadlocks.
 
 Determinism contract: every backend returns results in task order, and
 each task is a pure function of its arguments plus the shard state it was
@@ -118,8 +124,8 @@ class ThreadShardExecutor(ShardExecutor):
     RLock, the versioned caches lock around get/put), so concurrent tasks
     against *different* shards overlap while same-shard tasks serialize —
     the actor-per-shard model.  Inside a task, nested ``map_shards`` calls
-    run inline (see module docstring) so batch endpoints can scatter
-    per-request without deadlocking the pool.
+    run inline (see module docstring), so a task that scatters again
+    cannot deadlock the pool.
     """
 
     kind = "thread"

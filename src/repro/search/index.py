@@ -72,8 +72,8 @@ class SearchIndex:
         #: the same generation are guaranteed to see identical results.
         self.generation = 0
         #: One shard = one actor: mutations and queries serialize on this
-        #: re-entrant lock (aggregate re-enters through search), so the
-        #: thread executor can hit different shards concurrently while each
+        #: re-entrant lock (aggregate re-enters through search), so
+        #: concurrent callers' threads can hit different shards while each
         #: shard's postings/columns stay internally consistent.
         self._lock = threading.RLock()
 

@@ -19,13 +19,13 @@ stable order:
   a live doc keeps its slot only if the single index would; SearchIndex.put
   delete-then-inserts, moving the doc to the end, so the router does too).
 
-Parallel scatter: the per-shard fan-out runs through a pluggable
-:class:`~repro.pipeline.executors.ShardExecutor`.  The default
-:class:`~repro.pipeline.executors.SerialExecutor` preserves the original
-serial loop bit-identically; the thread backend overlaps shards against
-the live in-process indexes (each shard serializes on its own lock).
-Results are bit-identical across backends because every shard task is a
-pure function of (shard state at a generation, query).
+Scatter on the caller's thread: the per-shard fan-out is a plain loop,
+in shard order, on whichever thread asked.  The shards are in-process
+Python objects, so the interpreter lock lets one shard task run at a
+time; a pool would add a thread hand-off per shard and no overlap
+(DESIGN §5d).  The per-shard locks, the router lock and the
+generation snapshot below protect *callers'* threads — concurrent
+readers and a ticking writer — not worker threads.
 
 Queries compile once at the router (strings hit the process-wide plan
 cache) and the *compiled plan* is what every shard executes — shards
@@ -43,10 +43,10 @@ the cache only ever stores values computed from one consistent generation
 tuple.  ``query_cache_entries=0`` disables the cache (the bit-identical
 reference configuration).
 
-With ``shards=1`` and the serial executor every operation delegates
-straight to the one underlying index, making results and iteration order
-bit-identical to the unsharded seed behaviour — the property the
-shard-invariance suite pins.
+With ``shards=1`` every operation delegates straight to the one
+underlying index, making results and iteration order bit-identical to
+the unsharded seed behaviour — the property the shard-invariance suite
+pins.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from itertools import islice
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.pipeline.cache import MISS, VersionedLRU
-from repro.pipeline.executors import SerialExecutor, ShardExecutor
 from repro.pipeline.sharding import ShardMap
 from repro.search.index import SearchIndex
 from repro.search.plan import QueryPlan, compile_query
@@ -73,7 +72,6 @@ class ShardedSearchIndex:
         shard_map: Optional[ShardMap] = None,
         accelerated: bool = True,
         query_cache_entries: int = 256,
-        executor: Optional[ShardExecutor] = None,
     ) -> None:
         self.shard_map = shard_map or ShardMap(1)
         self.indexes = [SearchIndex(accelerated=accelerated) for _ in range(self.shard_map.shards)]
@@ -82,8 +80,6 @@ class ShardedSearchIndex:
         self.queries_run = 0
         self.aggregates_run = 0
         self._query_cache = VersionedLRU(query_cache_entries)
-        #: Pluggable scatter backend; serial = the reference loop.
-        self.executor = executor or SerialExecutor()
         #: Guards the routing dict, the query counter, and generation
         #: snapshots so ``generations()`` is atomic w.r.t. writes.
         self._lock = threading.Lock()
@@ -183,11 +179,11 @@ class ShardedSearchIndex:
         with self._lock:
             return tuple(index.generation for index in self.indexes)
 
-    # -- the parallel scatter ------------------------------------------------
+    # -- the scatter ---------------------------------------------------------
 
     def _scatter(self, fn: Any, *args: Any) -> List[Any]:
-        """Run ``fn(index, *args)`` on every shard through the executor."""
-        return self.executor.map_shards(fn, [(index, *args) for index in self.indexes])
+        """``fn(index, *args)`` on every shard, in shard order."""
+        return [fn(index, *args) for index in self.indexes]
 
     def _bump_queries(self) -> None:
         with self._lock:
@@ -208,7 +204,7 @@ class ShardedSearchIndex:
         cached = self._cache_get(("search", plan.key, limit), gens)
         if cached is not MISS:
             return list(cached)
-        if len(self.indexes) == 1 and self.executor.inline:
+        if len(self.indexes) == 1:
             hits = self.indexes[0].search(plan, limit=limit)
         else:
             # Each shard's list is sorted ascending, so its first `limit`
@@ -228,7 +224,7 @@ class ShardedSearchIndex:
         cached = self._cache_get(("count", plan.key, None), gens)
         if cached is not MISS:
             return cached
-        if len(self.indexes) == 1 and self.executor.inline:
+        if len(self.indexes) == 1:
             total = self.indexes[0].count(plan)
         else:
             total = sum(self._scatter(SearchIndex.count, plan))
@@ -244,7 +240,7 @@ class ShardedSearchIndex:
         cached = self._cache_get(("aggregate", plan.key, field), gens)
         if cached is not MISS:
             return dict(cached)
-        if len(self.indexes) == 1 and self.executor.inline:
+        if len(self.indexes) == 1:
             counts = self.indexes[0].aggregate(plan, field)
         else:
             per_shard = self._scatter(SearchIndex.aggregate, plan, field)

@@ -1,12 +1,15 @@
 """The parallel shard execution tier.
 
 Pins the contract: both executor backends — serial and thread — produce
-**bit-identical** results for scatter-gather queries, WAL recovery, and
-the batch serving paths, for shard counts 1, 2, and 4.  Plus the
-concurrency properties: thread-safe versioned caches with contention
-accounting, idempotent close, nested-fan-out inlining, and configs that
-name a backend or worker count that does not exist failing at
-construction.
+**bit-identical** results for the work that still runs on the pool (the
+per-shard write groups of a tick, replication, WAL recovery) and for the
+platform answers on top of it, for shard counts 1, 2, and 4.  Reads never
+reach the pool: scatter-gather queries and the batch serving paths run
+on the caller's thread, and a test pins that they leave the executor's
+stats untouched.  Plus the concurrency properties: thread-safe versioned
+caches with contention accounting, concurrent callers against one index,
+idempotent close, nested-fan-out inlining, and configs that name a
+backend or worker count that does not exist failing at construction.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from repro.pipeline import (
     make_executor,
 )
 from repro.pipeline.cache import MISS
-from repro.search import ShardedSearchIndex
+from repro.search import SearchIndex, ShardedSearchIndex
 from repro.simnet import DAY, WorkloadConfig, build_simnet
 from tests.chaos_harness import journal_fingerprint
 
@@ -42,11 +45,13 @@ QUERIES = (
 )
 
 
-def build_index(shards: int, executor=None, query_cache_entries: int = 0):
+def build_index(shards: int, query_cache_entries: int = 0):
     """A synthetic corpus routed over ``shards`` index shards."""
-    index = ShardedSearchIndex(
-        ShardMap(shards), query_cache_entries=query_cache_entries, executor=executor
-    )
+    return fill(ShardedSearchIndex(ShardMap(shards), query_cache_entries=query_cache_entries))
+
+
+def fill(index):
+    """Put the synthetic corpus into ``index`` (sharded or not)."""
     for n in range(64):
         index.put(
             f"host:10.0.{n // 16}.{n % 16}",
@@ -150,49 +155,35 @@ class TestExecutorBasics:
 
 
 class TestScatterGatherEquality:
-    """Tentpole invariant: backends are bit-identical to SerialExecutor."""
+    """The router's shard loop equals one unsharded index, and stays
+    coherent with writes and with its result cache."""
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_query_surfaces_bit_identical(self, shards, backend):
-        reference = query_digest(build_index(shards, SerialExecutor()))
-        ex = make_executor(backend, workers=3)
-        try:
-            assert query_digest(build_index(shards, ex)) == reference
-        finally:
-            ex.close()
+    def test_query_surfaces_bit_identical(self, shards):
+        reference = query_digest(fill(SearchIndex()))
+        assert query_digest(build_index(shards)) == reference
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_writes_after_queries_stay_visible(self, backend):
+    def test_writes_after_queries_stay_visible(self):
         """A write after a warm scatter must be seen by the next one."""
-        ex = make_executor(backend, workers=2)
-        try:
-            index = build_index(4, ex)
-            before = index.count("services.service_name: HTTP")
-            index.put(
-                "host:10.9.9.9",
-                {"services.service_name": ["HTTP"], "services.port": [80],
-                 "location.country": ["US"],
-                 "services.software.product": ["nginx"]},
-            )
-            assert index.count("services.service_name: HTTP") == before + 1
-            assert "host:10.9.9.9" in index.search("services.service_name: HTTP")
-            index.delete("host:10.9.9.9")
-            assert index.count("services.service_name: HTTP") == before
-        finally:
-            ex.close()
+        index = build_index(4)
+        before = index.count("services.service_name: HTTP")
+        index.put(
+            "host:10.9.9.9",
+            {"services.service_name": ["HTTP"], "services.port": [80],
+             "location.country": ["US"],
+             "services.software.product": ["nginx"]},
+        )
+        assert index.count("services.service_name: HTTP") == before + 1
+        assert "host:10.9.9.9" in index.search("services.service_name: HTTP")
+        index.delete("host:10.9.9.9")
+        assert index.count("services.service_name: HTTP") == before
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_query_cache_composes_with_parallel_scatter(self, backend):
-        ex = make_executor(backend, workers=2)
-        try:
-            index = build_index(4, ex, query_cache_entries=32)
-            first = query_digest(index)
-            assert query_digest(index) == first       # all hits
-            assert index.cache_report()["hits"] > 0
-            assert first == query_digest(build_index(4, SerialExecutor()))
-        finally:
-            ex.close()
+    def test_query_cache_composes_with_scatter(self):
+        index = build_index(4, query_cache_entries=32)
+        first = query_digest(index)
+        assert query_digest(index) == first       # all hits
+        assert index.cache_report()["hits"] > 0
+        assert first == query_digest(build_index(4))
 
 
 class TestParallelRecovery:
@@ -345,6 +336,36 @@ class TestBatchServing:
         finally:
             plat.close()
 
+    def test_reads_stay_on_the_callers_thread(self, world):
+        """No read surface hands work to the pool, however many shards it
+        scatters over; a tick still fans its per-shard write groups out."""
+        plat = CensysPlatform(
+            world,
+            PlatformConfig(
+                shards=4, seed=31, predictive_daily_budget=200, executor="thread"
+            ),
+            start_time=-2 * DAY,
+        )
+        try:
+            plat.tick(6.0)
+            assert len(plat.index) > 0
+            before = dict(plat.executor.stats)
+            ips = list(range(0, world.space.size, max(1, world.space.size // 20)))
+            for query in QUERIES:
+                plat.search(query, limit=10)
+                plat.index.count(query)
+                plat.index.aggregate(query, "services.port")
+            for ip in ips:
+                plat.lookup_host(ip)
+                plat.host_history(ip)
+            plat.lookup_many(ips)
+            plat.search_many(list(QUERIES), limit=10)
+            assert plat.executor.stats == before
+            plat.tick(6.0)
+            assert plat.executor.stats["batches"] > before["batches"]
+        finally:
+            plat.close()
+
     def test_platform_executor_report_and_close(self, world):
         plat = self._platform(world, "thread")
         plat.search("services.service_name: HTTP", limit=10)
@@ -492,8 +513,7 @@ class TestThreadSafety:
         """The hammer: interleaved put/search/aggregate from many threads
         never crashes, never poisons the cache, and quiesces to the same
         answers a fresh serial index gives."""
-        ex = ThreadShardExecutor(workers=4)
-        index = build_index(4, ex, query_cache_entries=64)
+        index = build_index(4, query_cache_entries=64)
         errors = []
         done = threading.Event()
 
@@ -532,7 +552,6 @@ class TestThreadSafety:
             t.start()
         for t in threads:
             t.join()
-        ex.close()
         assert not errors
         # Quiesced: every cached and recomputed answer matches a serial
         # rebuild of the identical final corpus.

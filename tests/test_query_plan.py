@@ -1,11 +1,11 @@
 """The compiled query-plan layer: canonicalization, plan caching, and
-plan-vs-legacy equivalence across shard counts and executor backends.
+plan-vs-legacy equivalence across shard counts and calling threads.
 
 The refactor these tests pin: queries compile once (parse → canonicalize
 → plan) through a process-wide memo, equivalent spellings share one
 canonical plan (and therefore one result-cache entry), and the plan path
 returns digest-identical answers to the brute-force scan-and-verify
-reference on every shard/executor configuration.
+reference on every shard count, from one caller or many.
 """
 
 import pytest
@@ -336,6 +336,12 @@ class TestAggregateCounters:
 @pytest.mark.parametrize("backend", ["serial", "thread"])
 @pytest.mark.parametrize("shards", [1, 2, 4])
 def test_plan_path_digest_identical_to_reference(shards, backend):
+    """The plan path matches the reference whichever thread asks.
+
+    The index scatters on the caller's thread; ``backend`` picks the
+    callers — the test thread alone, or pool threads issuing the corpus
+    queries concurrently against one shared index.
+    """
     docs = build_docs(60)
     expected = {
         "search": {q: brute_force(docs, q) for q in QUERY_CORPUS},
@@ -349,21 +355,26 @@ def test_plan_path_digest_identical_to_reference(shards, backend):
         expected["aggregate"][q] = reference.aggregate(q, "location.country")
     reference_digest = state_digest(canonical_json(expected))
 
+    sharded = ShardedSearchIndex(ShardMap(shards), query_cache_entries=0)
+    for doc_id, doc in docs.items():
+        sharded.put(doc_id, doc)
+
+    def ask(q):
+        hits = sharded.search(q)
+        assert sharded.count(q) == len(hits)
+        assert sharded.search(q, limit=5) == hits[:5]
+        return hits, sharded.aggregate(q, "location.country")
+
     executor = make_executor(backend, workers=2)
     try:
-        sharded = ShardedSearchIndex(ShardMap(shards), executor=executor, query_cache_entries=0)
-        for doc_id, doc in docs.items():
-            sharded.put(doc_id, doc)
-        actual = {"search": {}, "aggregate": {}}
-        for q in QUERY_CORPUS:
-            actual["search"][q] = sharded.search(q)
-            assert sharded.count(q) == len(actual["search"][q])
-            actual["aggregate"][q] = sharded.aggregate(q, "location.country")
-            limited = sharded.search(q, limit=5)
-            assert limited == actual["search"][q][:5]
-        assert state_digest(canonical_json(actual)) == reference_digest
+        answers = executor.map_shards(ask, [(q,) for q in QUERY_CORPUS])
     finally:
         executor.close()
+    actual = {"search": {}, "aggregate": {}}
+    for q, (hits, counts) in zip(QUERY_CORPUS, answers):
+        actual["search"][q] = hits
+        actual["aggregate"][q] = counts
+    assert state_digest(canonical_json(actual)) == reference_digest
 
 
 def test_plan_object_round_trips_through_pickle():

@@ -318,6 +318,40 @@ class TestPlatformReplication:
         reference.close()
         replicated.close()
 
+    def test_batch_lookup_reads_replicas_like_single_lookups(self, tmp_path):
+        """``lookup_many`` is N ``lookup_host`` calls: the same views and the
+        same replica routing, so every read counter moves by the same
+        amount either way."""
+        plat = _run_platform(
+            tmp_path / "rep",
+            wal_dir=str(tmp_path / "rep-wal"),
+            replication_factor=2,
+            replica_reads=True,
+            replica_max_lag_events=10_000,
+        )
+        ips = list(range(0, 256, 7))
+
+        def read_counters():
+            return (
+                plat.serving.counters.get("lookups_served"),
+                plat.serving.counters.get("replica_lookups_served"),
+                plat.traffic_report()["replication"]["replica_reads_served"],
+            )
+
+        before = read_counters()
+        singles = [plat.lookup_host(i) for i in ips]
+        after_singles = read_counters()
+        batch = plat.lookup_many(ips)
+        after_batch = read_counters()
+        try:
+            assert batch == singles
+            single_moves = [b - a for a, b in zip(before, after_singles)]
+            batch_moves = [b - a for a, b in zip(after_singles, after_batch)]
+            assert single_moves[0] == len(ips) and single_moves[1] > 0
+            assert batch_moves == single_moves
+        finally:
+            plat.close()
+
     def test_platform_fail_over_mid_run(self, tmp_path):
         """Failing a shard over mid-run changes no observable answer: the
         promoted replica holds the full shipped prefix and ingest resumes."""
