@@ -42,11 +42,11 @@ import threading
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.pipeline.events import Event
 from repro.pipeline.journal import CompactionAnchor, EventJournal
-from repro.pipeline.state import canonical_json
+from repro.pipeline.state import canonical_json, snapshot_size
 from repro.pipeline.wal import (
     _HEADER_LEN,
     SEGMENT_PATTERN,
@@ -89,11 +89,6 @@ def _fsync_dir(path: str) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
-
-
-def _snapshot_size(state: Dict[str, Any]) -> int:
-    # Must match EventJournal._snapshot's size formula exactly.
-    return len(json.dumps(state, default=str))
 
 
 def _decode_one_record(blob: bytes, offset: int, label: str) -> Dict[str, Any]:
@@ -224,16 +219,6 @@ class ColdStore:
         self._cache_max = 64
         self._lock = threading.Lock()
 
-    def __getstate__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        del state["_lock"]
-        state["_cache"] = OrderedDict()
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
     @property
     def through_segment(self) -> int:
         return self.manifest["through_segment"]
@@ -350,6 +335,21 @@ class ColdStore:
             self._cache.clear()
         if crash_hook is not None:
             crash_hook("manifest_written")
+
+
+#: One journal row: (seq_after, time, state, size) — see ``_EntityLog``.
+_Snapshot = Tuple[int, float, Dict[str, Any], int]
+
+
+class _FoldPlan(NamedTuple):
+    """What ``_plan_anchors`` decided for one run."""
+
+    anchors: Dict[str, CompactionAnchor]
+    #: Per entity, the cadence snapshots this fold newly covers.
+    new_cadence: Dict[str, List[_Snapshot]]
+    synthetic: int
+    #: Modeled bytes of every folded event, summed from the resident rows.
+    folded_bytes: int
 
 
 @dataclass(slots=True)
@@ -489,24 +489,20 @@ class SegmentCompactor:
                 "reason": "watermark" if deferred else "not-enough-sealed",
             }
 
-        anchors, new_cadence, synthetic = self._plan_anchors(per_entity)
+        plan = self._plan_anchors(per_entity)
         entry, blob_bytes = self.store.write_run(per_entity, crash_hook=self.crash_hook)
-        manifest = self._build_manifest(
-            anchors, per_entity, new_cadence, segments, batch_count, entry
-        )
+        events_folded = sum(len(events) for events in per_entity.values())
+        manifest = self._build_manifest(plan, events_folded, segments, batch_count, entry)
         self.store.commit_manifest(manifest, crash_hook=self.crash_hook)
         self._delete_segments(segments)
-        self.journal.truncate_compacted(anchors)
+        self.journal.truncate_compacted(plan.anchors)
 
-        events_folded = sum(len(events) for events in per_entity.values())
         self.stats.runs += 1
         self.stats.segments_compacted += len(segments)
         self.stats.batches_folded += batch_count
         self.stats.events_folded += events_folded
-        self.stats.event_bytes_folded += sum(
-            event.encoded_size() for events in per_entity.values() for event in events
-        )
-        self.stats.synthetic_anchors += synthetic
+        self.stats.event_bytes_folded += plan.folded_bytes
+        self.stats.synthetic_anchors += plan.synthetic
         self.stats.cold_files += 1
         self.stats.cold_file_bytes += blob_bytes
         return {
@@ -518,19 +514,20 @@ class SegmentCompactor:
             "cold_file_bytes": blob_bytes,
         }
 
-    def _plan_anchors(
-        self, per_entity: "OrderedDict[str, List[Event]]"
-    ) -> Tuple[Dict[str, CompactionAnchor], Dict[str, List[Tuple[int, float, Dict[str, Any]]]], int]:
+    def _plan_anchors(self, per_entity: "OrderedDict[str, List[Event]]") -> _FoldPlan:
         """Pick each entity's fold boundary and materialize its anchor.
 
         The boundary is exactly one past the last folded event, so the
         live tail (already durable in un-folded segments) never overlaps
         the cold tier.  When no cadence snapshot landed on that boundary,
-        a synthetic anchor is computed by deterministic replay.
+        a synthetic anchor is computed by deterministic replay and sized
+        here, once.  Folded bytes come from the resident events, which
+        were sized when appended (the decoded copies never are).
         """
         anchors: Dict[str, CompactionAnchor] = {}
-        new_cadence: Dict[str, List[Tuple[int, float, Dict[str, Any]]]] = {}
+        new_cadence: Dict[str, List[_Snapshot]] = {}
         synthetic_count = 0
+        folded_bytes = 0
         for entity_id, events in per_entity.items():
             log = self.journal._logs.get(entity_id)
             if log is None or events[0].seq != log.base_seq:
@@ -543,12 +540,22 @@ class SegmentCompactor:
                 raise WalCorruptionError(
                     f"{self.directory}: sequence gap in sealed segments for {entity_id}"
                 )
+            resident = log.events[: len(events)]
+            if len(resident) != len(events):
+                raise WalCorruptionError(
+                    f"{self.directory}: sealed segments run past resident journal "
+                    f"for {entity_id}"
+                )
+            folded_bytes += sum(event.encoded_size() for event in resident)
             cadence = next((s for s in log.snapshots if s[0] == base), None)
             if cadence is not None:
-                anchors[entity_id] = CompactionAnchor(base, cadence[1], cadence[2], False)
+                _, time, state, size = cadence
+                anchors[entity_id] = CompactionAnchor(base, time, state, False, size)
             else:
                 state = self.journal.anchor_state(entity_id, base)
-                anchors[entity_id] = CompactionAnchor(base, events[-1].time, state, True)
+                anchors[entity_id] = CompactionAnchor(
+                    base, events[-1].time, state, True, snapshot_size(state)
+                )
                 synthetic_count += 1
             # Cadence snapshots newly covered by this fold (strictly past the
             # previous anchor, at or below the new one): their accounting
@@ -557,44 +564,33 @@ class SegmentCompactor:
             new_cadence[entity_id] = [
                 s for s in log.snapshots if log.base_seq < s[0] <= base
             ]
-        return anchors, new_cadence, synthetic_count
+        return _FoldPlan(anchors, new_cadence, synthetic_count, folded_bytes)
 
     def _build_manifest(
         self,
-        anchors: Dict[str, CompactionAnchor],
-        per_entity: "OrderedDict[str, List[Event]]",
-        new_cadence: Dict[str, List[Tuple[int, float, Dict[str, Any]]]],
+        plan: _FoldPlan,
+        folded_events: int,
         segments: List[int],
         batch_count: int,
         run_entry: Dict[str, Any],
     ) -> Dict[str, Any]:
         old = self.store.manifest
-        entities: Dict[str, Any] = {
-            entity_id: dict(ent) for entity_id, ent in old["entities"].items()
-        }
-        for entity_id, anchor in anchors.items():
-            entities[entity_id] = {
-                "base": anchor.base,
-                "time": anchor.time,
-                "state": anchor.state,
-                "state_bytes": _snapshot_size(anchor.state),
-            }
+        # Entries are replaced whole, never mutated: share the old ones.
+        entities: Dict[str, Any] = dict(old["entities"])
+        for entity_id, anchor in plan.anchors.items():
+            entities[entity_id] = _manifest_entry(anchor)
         stats = dict(old["stats"])
-        folded_events = 0
-        folded_bytes = 0
-        for events in per_entity.values():
-            folded_events += len(events)
-            folded_bytes += sum(event.encoded_size() for event in events)
         covered_snaps = 0
         covered_snap_bytes = 0
-        for entity_id, snaps in new_cadence.items():
+        for entity_id, snaps in plan.new_cadence.items():
             covered_snaps += len(snaps)
-            covered_snap_bytes += sum(_snapshot_size(s[2]) for s in snaps)
-            if anchors[entity_id].synthetic:
+            covered_snap_bytes += sum(s[3] for s in snaps)
+            anchor = plan.anchors[entity_id]
+            if anchor.synthetic:
                 covered_snaps += 1
-                covered_snap_bytes += entities[entity_id]["state_bytes"]
+                covered_snap_bytes += anchor.size
         stats["events"] += folded_events
-        stats["event_bytes"] += folded_bytes
+        stats["event_bytes"] += plan.folded_bytes
         stats["snapshots"] += covered_snaps
         stats["snapshot_bytes"] += covered_snap_bytes
         stats["wal_events"] += folded_events
@@ -629,6 +625,15 @@ class SegmentCompactor:
         _fsync_dir(self.directory)
 
 
+def _manifest_entry(anchor: CompactionAnchor) -> Dict[str, Any]:
+    return {
+        "base": anchor.base,
+        "time": anchor.time,
+        "state": anchor.state,
+        "state_bytes": anchor.size,
+    }
+
+
 def compact_journal_in_memory(
     journal: EventJournal, *, min_fold_events: int = 1
 ) -> int:
@@ -646,13 +651,13 @@ def compact_journal_in_memory(
     for entity_id, log in journal._logs.items():
         if not log.snapshots:
             continue
-        base, time, state = log.snapshots[-1]
+        base, time, state, size = log.snapshots[-1]
         if base <= log.base_seq:
             continue
         folded = log.events[: base - log.base_seq]
         if len(folded) < min_fold_events:
             continue
-        anchors[entity_id] = CompactionAnchor(base, time, state, False)
+        anchors[entity_id] = CompactionAnchor(base, time, state, False, size)
         per_entity[entity_id] = list(folded)
     if not anchors:
         return 0
@@ -663,14 +668,9 @@ def compact_journal_in_memory(
     manifest = dict(store.manifest)
     manifest["run"] = manifest["run"] + 1
     manifest["runs"] = manifest["runs"] + [entry]
-    entities = {eid: dict(ent) for eid, ent in manifest["entities"].items()}
+    entities = dict(manifest["entities"])
     for entity_id, anchor in anchors.items():
-        entities[entity_id] = {
-            "base": anchor.base,
-            "time": anchor.time,
-            "state": anchor.state,
-            "state_bytes": _snapshot_size(anchor.state),
-        }
+        entities[entity_id] = _manifest_entry(anchor)
     manifest["entities"] = entities
     store.commit_manifest(manifest)
     journal.truncate_compacted(anchors)

@@ -84,3 +84,9 @@ class Event:
             )
             object.__setattr__(self, "_size", size)
         return size
+
+    def adopt_size(self, size: int) -> "Event":
+        """Take ``encoded_size()`` from whoever sized these same bytes first
+        (a replicated event carries its primary's size); returns ``self``."""
+        object.__setattr__(self, "_size", size)
+        return self

@@ -19,17 +19,16 @@ against the sidecar copies written before the crash.  The default
 
 from __future__ import annotations
 
-import json
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.pipeline.events import Event
-from repro.pipeline.state import apply_event, new_entity_state, snapshot_state
+from repro.pipeline.state import apply_event, new_entity_state, snapshot_size, snapshot_state
 from repro.pipeline.wal import WalCorruptionError, WriteAheadLog
 
-__all__ = ["JournalStats", "EventJournal", "CompactionAnchor"]
+__all__ = ["JournalStats", "EventJournal", "CompactionAnchor", "CommittedBatch"]
 
 
 @dataclass(slots=True)
@@ -66,9 +65,10 @@ class _EntityLog:
     """Per-entity journal rows."""
 
     events: List[Event] = field(default_factory=list)
-    #: (seq_after, time, state) triples; a snapshot at index i reflects all
-    #: events with seq < seq_after.
-    snapshots: List[Tuple[int, float, Dict[str, Any]]] = field(default_factory=list)
+    #: (seq_after, time, state, size) rows; a snapshot at index i reflects
+    #: all events with seq < seq_after.  ``size`` is its modeled bytes,
+    #: computed once when the snapshot is taken.  States are never mutated.
+    snapshots: List[Tuple[int, float, Dict[str, Any], int]] = field(default_factory=list)
     next_seq: int = 0
     #: Sequence numbers at or below this are on the HDD tier.
     hdd_watermark: int = -1
@@ -86,13 +86,29 @@ class CompactionAnchor(NamedTuple):
     ``base`` is the first sequence number that stays in RAM; the anchor
     snapshot reflects every event with seq < base.  ``synthetic`` anchors
     were materialized by the compactor (no cadence snapshot landed exactly
-    on the fold boundary) and are accounted as fresh snapshots.
+    on the fold boundary) and are accounted as fresh snapshots.  ``size``
+    is the anchor snapshot's modeled bytes (a cadence anchor's recorded
+    size; a synthetic anchor's computed once by the compactor).
     """
 
     base: int
     time: float
     state: Dict[str, Any]
     synthetic: bool
+    size: int
+
+
+class CommittedBatch(NamedTuple):
+    """One durably committed batch, as handed to ``commit_listener``.
+
+    ``body`` is the WAL record body exactly as framed into the segment and
+    ``sizes`` each event's ``encoded_size()`` in order, so a consumer
+    (replication) neither re-serialises nor re-sizes what was committed.
+    """
+
+    events: List[Dict[str, Any]]
+    body: bytes
+    sizes: Tuple[int, ...]
 
 
 class EventJournal:
@@ -124,8 +140,9 @@ class EventJournal:
         self._hb_payloads: Dict[str, Dict[str, Any]] = {}
         #: Consulted at commit time for simulated crash points (chaos tests).
         self.fault_injector = fault_injector
-        #: Called with each durably committed batch's raw WAL event dicts
-        #: (the replication shipping hook; see pipeline/replication.py).
+        #: Called with each durably committed batch as a
+        #: :class:`CommittedBatch` (the replication shipping hook; see
+        #: pipeline/replication.py).
         #: Fires only after the batch is fsynced — never for torn or
         #: "before"-mode crashed batches — so whatever the listener ships
         #: is exactly the durable prefix.
@@ -203,8 +220,9 @@ class EventJournal:
 
     def _snapshot(self, entity_id: str, log: _EntityLog, time: float) -> None:
         state = log.current if log.current is not None else new_entity_state(entity_id)
-        log.snapshots.append((log.next_seq, time, snapshot_state(state)))
-        size = len(json.dumps(state, default=str))
+        snapped = snapshot_state(state)
+        size = snapshot_size(state)
+        log.snapshots.append((log.next_seq, time, snapped, size))
         self.stats.snapshots += 1
         self.stats.snapshot_bytes += size
         # Everything covered by the snapshot moves to the HDD tier.
@@ -215,7 +233,8 @@ class EventJournal:
         self.stats.ssd_bytes += size  # the fresh snapshot itself stays hot
         log.hdd_watermark = log.next_seq - 1
         if self.wal is not None and not self._replaying:
-            self._pending_snapshots.append((entity_id, log.next_seq, time, snapshot_state(state)))
+            # The row's own copy: snapshot states are never mutated.
+            self._pending_snapshots.append((entity_id, log.next_seq, time, snapped))
 
     # -- durability --------------------------------------------------------
 
@@ -255,11 +274,22 @@ class EventJournal:
             self._pending_events.clear()
             self._pending_snapshots.clear()
             self.fault_injector.raise_crash(crash)
+        # Encoded before the append: the durability callback below may fire
+        # inside it, and the listener ships these exact bytes.
+        body = self.wal.encode_batch(events)
         if crash is not None and crash.mode == "torn":
-            self.wal.append_batch(events, torn=True)
+            self.wal.append_body(body, torn=True)
             self._pending_events.clear()
             self._pending_snapshots.clear()
             self.fault_injector.raise_crash(crash)
+
+        # Unstage before the append, so even a simulated crash firing inside
+        # it (e.g. a mid-group-commit fsync hook) leaves nothing staged: the
+        # record already hit the segment file, and a teardown close()
+        # re-committing the batch would write a duplicate.  Staged snapshots
+        # go with it — recovery regenerates them from replay.
+        staged, self._pending_events = self._pending_events, []
+        snapshots, self._pending_snapshots = self._pending_snapshots, []
 
         def _on_durable() -> None:
             # Fires right after the covering fsync (synchronously for the
@@ -267,18 +297,9 @@ class EventJournal:
             # a primary detached before its window flushed must not ship.
             listener = self.commit_listener
             if listener is not None:
-                listener(events)
+                listener(CommittedBatch(events, body, tuple(e.encoded_size() for e in staged)))
 
-        snapshots, self._pending_snapshots = self._pending_snapshots, []
-        try:
-            self.wal.append_batch(events, on_durable=_on_durable)
-        finally:
-            # Unstage even when a simulated crash fires inside the append
-            # (e.g. a mid-group-commit fsync hook): the record already hit
-            # the segment file, so a teardown close() re-committing the
-            # staged batch would write a duplicate.  Staged snapshots are
-            # dropped with it — recovery regenerates them from replay.
-            self._pending_events.clear()
+        self.wal.append_body(body, on_durable=_on_durable)
         self._durable_events = hi
         self.stats.wal_batches += 1
         self.stats.wal_events += len(events)
@@ -406,11 +427,11 @@ class EventJournal:
         journal held — the manifest records the folded prefix's
         contribution so seeded + tail == full history.
         """
-        for entity_id, anchor in store.anchors().items():
-            base, time, state = anchor
+        for entity_id, ent in store.manifest["entities"].items():
+            base, time, state = ent["base"], ent["time"], ent["state"]
             self._logs[entity_id] = _EntityLog(
                 events=[],
-                snapshots=[(base, time, snapshot_state(state))],
+                snapshots=[(base, time, snapshot_state(state), ent["state_bytes"])],
                 next_seq=base,
                 hdd_watermark=base - 1,
                 current=snapshot_state(state),
@@ -434,7 +455,7 @@ class EventJournal:
         """Cross-check sidecar snapshots against the regenerated ones."""
         regenerated: Dict[Tuple[str, int], Dict[str, Any]] = {}
         for entity_id, log in self._logs.items():
-            for seq_after, _time, state in log.snapshots:
+            for seq_after, _time, state, _size in log.snapshots:
                 regenerated[(entity_id, seq_after)] = state
         for snap in snapshots:
             key = (snap["entity"], snap["seq_after"])
@@ -486,7 +507,7 @@ class EventJournal:
         log = self._logs[entity_id]
         usable = [s for s in log.snapshots if s[0] <= base]
         if usable:
-            start, _, snapped = usable[-1]
+            start, _, snapped, _ = usable[-1]
             state = snapshot_state(snapped)
         else:
             start = log.base_seq
@@ -528,20 +549,20 @@ class EventJournal:
             cadence_anchor = next(
                 (s for s in log.snapshots if s[0] == anchor.base), None
             )
-            for seq_after, _time, state in log.snapshots:
+            for seq_after, _time, _state, size in log.snapshots:
                 if seq_after >= anchor.base:
                     continue
-                size = len(json.dumps(state, default=str))
                 self.stats.ssd_bytes -= size
                 self.stats.cold_bytes += size
             if cadence_anchor is not None:
                 head = [cadence_anchor]
             else:
-                head = [(anchor.base, anchor.time, snapshot_state(anchor.state))]
-                size = len(json.dumps(anchor.state, default=str))
+                # ``anchor_state`` built a private state; the row takes it
+                # as is (snapshot states are never mutated).
+                head = [(anchor.base, anchor.time, anchor.state, anchor.size)]
                 self.stats.snapshots += 1
-                self.stats.snapshot_bytes += size
-                self.stats.ssd_bytes += size
+                self.stats.snapshot_bytes += anchor.size
+                self.stats.ssd_bytes += anchor.size
             log.snapshots = head + kept
             log.events = log.events[cut:]
             log.base_seq = anchor.base
@@ -584,7 +605,7 @@ class EventJournal:
             return snapshot_state(log.current) if log.current is not None else new_entity_state(entity_id)
         usable = [s for s in log.snapshots if s[1] <= at]
         if usable:
-            snap_seq, _, snapped = usable[-1]
+            snap_seq, _, snapped, _ = usable[-1]
             state = snapshot_state(snapped)
             for event in log.events[snap_seq - log.base_seq :]:
                 if event.time > at:

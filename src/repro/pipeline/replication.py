@@ -52,15 +52,14 @@ to the primary.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from repro.pipeline.delivery import FaultyChannel
 from repro.pipeline.events import Event
 from repro.pipeline.faults import FaultInjector, FaultPlan
-from repro.pipeline.journal import EventJournal, _EntityLog
-from repro.pipeline.wal import WriteAheadLog
+from repro.pipeline.journal import CommittedBatch, EventJournal, _EntityLog
+from repro.pipeline.wal import WriteAheadLog, decode_batch_body
 
 __all__ = [
     "ReplicationBatch",
@@ -78,13 +77,15 @@ class ReplicationError(RuntimeError):
 
 
 class ReplicationBatch(NamedTuple):
-    """One committed WAL batch on the replication wire.
+    """One committed WAL batch on the replication wire (log shipping).
 
     ``seq`` is the 1-based per-shard batch index (monotonic across
     failovers); the attribute name also makes a batch a valid
-    :class:`~repro.pipeline.delivery.FaultyChannel` work item.  ``events``
-    are the raw WAL event dicts after a canonical-JSON round trip, so a
-    replica applies byte-for-byte what WAL recovery would replay.
+    :class:`~repro.pipeline.delivery.FaultyChannel` work item.  ``body``
+    is the WAL record body the primary framed into its segment, and
+    ``events`` are that body decoded by the decoder recovery uses, so a
+    replica applies exactly what WAL recovery would replay.  ``sizes`` are
+    the primary's ``encoded_size()`` of each event, in order.
     ``obs_high`` is the highest delivery sequence stamped into the batch
     (None when the batch carries no sequenced observation).
     """
@@ -92,17 +93,35 @@ class ReplicationBatch(NamedTuple):
     seq: int
     events: Tuple[Dict[str, Any], ...]
     obs_high: Optional[int]
+    sizes: Tuple[int, ...]
+    body: bytes
+
+    @classmethod
+    def decode(cls, seq: int, body: bytes, sizes: Tuple[int, ...]) -> "ReplicationBatch":
+        """The batch carried by one WAL record body."""
+        events = tuple(decode_batch_body(body))
+        obs_high: Optional[int] = None
+        for raw in events:
+            obs_seq = raw["p"].get("obs_seq")
+            if obs_seq is not None and (obs_high is None or obs_seq > obs_high):
+                obs_high = obs_seq
+        return cls(seq, events, obs_high, sizes, body)
 
 
-def _wire_events(events: List[Dict[str, Any]]) -> Tuple[Dict[str, Any], ...]:
-    """Serialize exactly like the WAL frames records, then parse back.
-
-    This is the 'network hop': replicas must end up with the same objects
-    a crash recovery would reconstruct (tuples become lists, keys become
-    strings), keeping replica state byte-identical to the durable prefix.
-    """
-    blob = json.dumps(events, separators=(",", ":"), sort_keys=True, default=str)
-    return tuple(json.loads(blob))
+def _apply_batch(journal: EventJournal, batch: ReplicationBatch, who: str) -> None:
+    """Append one shipped batch through the live-append bookkeeping; each
+    event takes the size its primary computed instead of re-encoding."""
+    for raw, size in zip(batch.events, batch.sizes, strict=True):
+        event = Event(
+            entity_id=raw["e"], seq=raw["s"], time=raw["tm"], kind=raw["k"], payload=raw["p"]
+        ).adopt_size(size)
+        log = journal._logs.setdefault(event.entity_id, _EntityLog())
+        if event.seq != log.next_seq:
+            raise ReplicationError(
+                f"{who}: sequence gap for {event.entity_id}: "
+                f"expected {log.next_seq}, found {event.seq} in batch {batch.seq}"
+            )
+        journal._apply_append(log, event)
 
 
 def _link_injector(
@@ -121,20 +140,21 @@ def _link_injector(
 
 
 class BatchLog:
-    """An append-only batch log whose old prefix freezes to encoded bytes.
+    """An append-only batch log whose old prefix freezes to record bytes.
 
     Replication must retain every batch — promotion tail-replay and fresh
     replica catch-up both read from batch 1 — but keeping millions of
     live ``ReplicationBatch`` objects resident defeats journal compaction.
-    ``freeze`` re-encodes a committed prefix as compact JSON blobs (the
-    same canonical flavor as the wire, so decode round-trips exactly);
-    slicing decodes frozen entries on demand, and the steady-state pump
-    path only ever slices past the frozen boundary.
+    ``freeze`` drops a committed prefix's decoded events and keeps only
+    the WAL record bodies they came from (plus the primary's sizes);
+    slicing decodes frozen entries on demand with the same decoder, and
+    the steady-state pump path only ever slices past the frozen boundary.
     """
 
     def __init__(self, batches: Optional[Union["BatchLog", Iterable[ReplicationBatch]]] = None):
         if isinstance(batches, BatchLog):
-            self._frozen: List[bytes] = list(batches._frozen)
+            #: (body, sizes) of batch ``i + 1`` at index ``i``.
+            self._frozen: List[Tuple[bytes, Tuple[int, ...]]] = list(batches._frozen)
             self._tail: List[ReplicationBatch] = list(batches._tail)
         else:
             self._frozen = []
@@ -150,28 +170,19 @@ class BatchLog:
         return len(self._frozen)
 
     def frozen_bytes(self) -> int:
-        return sum(len(blob) for blob in self._frozen)
+        return sum(len(body) for body, _sizes in self._frozen)
 
     def append(self, batch: ReplicationBatch) -> None:
         self._tail.append(batch)
 
-    def _decode(self, blob: bytes) -> ReplicationBatch:
+    def _decode(self, index: int) -> ReplicationBatch:
         self.decodes += 1
-        seq, events, obs_high = json.loads(blob.decode("utf-8"))
-        return ReplicationBatch(seq=seq, events=tuple(events), obs_high=obs_high)
-
-    @staticmethod
-    def _encode(batch: ReplicationBatch) -> bytes:
-        return json.dumps(
-            [batch.seq, list(batch.events), batch.obs_high],
-            separators=(",", ":"),
-            sort_keys=True,
-            default=str,
-        ).encode("utf-8")
+        body, sizes = self._frozen[index]
+        return ReplicationBatch.decode(index + 1, body, sizes)
 
     def __iter__(self) -> Iterator[ReplicationBatch]:
-        for blob in self._frozen:
-            yield self._decode(blob)
+        for index in range(len(self._frozen)):
+            yield self._decode(index)
         yield from self._tail
 
     def __getitem__(self, item: Union[int, slice]) -> Any:
@@ -181,13 +192,13 @@ class BatchLog:
             if step != 1:
                 raise ValueError("BatchLog slices must be contiguous")
             return [
-                self._decode(self._frozen[i]) if i < n_frozen else self._tail[i - n_frozen]
+                self._decode(i) if i < n_frozen else self._tail[i - n_frozen]
                 for i in range(start, stop)
             ]
         if item < 0:
             item += len(self)
         if item < n_frozen:
-            return self._decode(self._frozen[item])
+            return self._decode(item)
         return self._tail[item - n_frozen]
 
     def freeze(self, through_seq: int) -> int:
@@ -200,7 +211,7 @@ class BatchLog:
         count = target - len(self._frozen)
         if count <= 0:
             return 0
-        self._frozen.extend(self._encode(batch) for batch in self._tail[:count])
+        self._frozen.extend((batch.body, batch.sizes) for batch in self._tail[:count])
         del self._tail[:count]
         return count
 
@@ -240,18 +251,7 @@ class ReplicaState:
         return applied
 
     def _apply(self, batch: ReplicationBatch) -> None:
-        journal = self.journal
-        for raw in batch.events:
-            event = Event(
-                entity_id=raw["e"], seq=raw["s"], time=raw["tm"], kind=raw["k"], payload=raw["p"]
-            )
-            log = journal._logs.setdefault(event.entity_id, _EntityLog())
-            if event.seq != log.next_seq:
-                raise ReplicationError(
-                    f"replica {self.replica_id}: sequence gap for {event.entity_id}: "
-                    f"expected {log.next_seq}, found {event.seq} in batch {batch.seq}"
-                )
-            journal._apply_append(log, event)
+        _apply_batch(self.journal, batch, f"replica {self.replica_id}")
         self.batch_log.append(batch)
         self.applied_events += len(batch.events)
 
@@ -330,16 +330,11 @@ class ShardReplicator:
 
     # -- primary side ------------------------------------------------------
 
-    def _on_commit(self, events: List[Dict[str, Any]]) -> None:
+    def _on_commit(self, committed: CommittedBatch) -> None:
         """Journal commit hook: record the durable batch for shipping."""
-        wired = _wire_events(events)
-        obs_high: Optional[int] = None
-        for raw in wired:
-            seq = raw["p"].get("obs_seq")
-            if seq is not None and (obs_high is None or seq > obs_high):
-                obs_high = seq
-        batch = ReplicationBatch(seq=len(self.log) + 1, events=wired, obs_high=obs_high)
+        batch = ReplicationBatch.decode(len(self.log) + 1, committed.body, committed.sizes)
         self.log.append(batch)
+        obs_high = batch.obs_high
         prev = self._obs_cum[-1] if self._obs_cum else -1
         self._obs_cum.append(max(prev, obs_high) if obs_high is not None else prev)
 
@@ -422,17 +417,7 @@ def _rebuild_journal(batch_log: BatchLog, snapshot_every: int) -> EventJournal:
     """Replay every retained batch into a fresh in-memory journal."""
     journal = EventJournal(snapshot_every=snapshot_every)
     for batch in batch_log:
-        for raw in batch.events:
-            event = Event(
-                entity_id=raw["e"], seq=raw["s"], time=raw["tm"], kind=raw["k"], payload=raw["p"]
-            )
-            log = journal._logs.setdefault(event.entity_id, _EntityLog())
-            if event.seq != log.next_seq:
-                raise ReplicationError(
-                    f"rebuild: sequence gap for {event.entity_id}: "
-                    f"expected {log.next_seq}, found {event.seq} in batch {batch.seq}"
-                )
-            journal._apply_append(log, event)
+        _apply_batch(journal, batch, "rebuild")
     return journal
 
 

@@ -150,6 +150,15 @@ def snapshot_state(state: Dict[str, Any]) -> Dict[str, Any]:
     return _copy_plain(state)
 
 
+def snapshot_size(state: Dict[str, Any]) -> int:
+    """Modeled bytes of one snapshot row (storage accounting).
+
+    Computed once, when the snapshot is taken, and carried beside it;
+    nothing downstream re-encodes a state to size it.
+    """
+    return len(json.dumps(state, default=str))
+
+
 def _copy_plain(value: Any) -> Any:
     cls = value.__class__
     if cls is str or cls is float or cls is int or value is None or cls is bool:

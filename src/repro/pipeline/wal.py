@@ -62,6 +62,8 @@ __all__ = [
     "decode_segment",
     "encode_batch_events",
     "decode_batch_events",
+    "encode_batch_body",
+    "decode_batch_body",
 ]
 
 _HEADER_LEN = 16  # 8 hex chars length + 8 hex chars crc32
@@ -88,11 +90,18 @@ class WalStats:
     heartbeats_encoded: int = 0
 
 
-def encode_record(body: Dict[str, Any]) -> bytes:
-    """Frame one record: fixed hex header (length+crc32) + JSON body + newline."""
-    data = json.dumps(body, separators=(",", ":"), sort_keys=True, default=str).encode("utf-8")
+def _encode_body(body: Dict[str, Any]) -> bytes:
+    return json.dumps(body, separators=(",", ":"), sort_keys=True, default=str).encode("utf-8")
+
+
+def _frame(data: bytes) -> bytes:
     header = f"{len(data):08x}{zlib.crc32(data) & 0xFFFFFFFF:08x}".encode("ascii")
     return header + data + b"\n"
+
+
+def encode_record(body: Dict[str, Any]) -> bytes:
+    """Frame one record: fixed hex header (length+crc32) + JSON body + newline."""
+    return _frame(_encode_body(body))
 
 
 def _rest_is_tail(fh, offset: int) -> bool:
@@ -220,6 +229,18 @@ def decode_batch_events(events: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     return out
 
 
+def encode_batch_body(events: List[Dict[str, Any]]) -> Tuple[bytes, int]:
+    """One batch's record body as the WAL frames it; returns (body, heartbeats)."""
+    encoded, heartbeats = encode_batch_events(events)
+    return _encode_body({"t": "batch", "events": encoded}), heartbeats
+
+
+def decode_batch_body(body: bytes) -> List[Dict[str, Any]]:
+    """The canonical event dicts of one batch record body — exactly what
+    recovery replays from the segment holding it."""
+    return decode_batch_events(json.loads(body.decode("utf-8"))["events"])
+
+
 @dataclass(slots=True)
 class _ScanResult:
     """Everything recovery needs from one pass over a WAL directory."""
@@ -345,6 +366,12 @@ class WriteAheadLog:
             return
         self._fsync_now()
 
+    def encode_batch(self, events: List[Dict[str, Any]]) -> bytes:
+        """Encode one batch's record body (heartbeat-compacted, counted)."""
+        body, heartbeats = encode_batch_body(events)
+        self.stats.heartbeats_encoded += heartbeats
+        return body
+
     def append_batch(
         self,
         events: List[Dict[str, Any]],
@@ -352,7 +379,20 @@ class WriteAheadLog:
         torn: bool = False,
         on_durable: Optional[Callable[[], None]] = None,
     ) -> None:
-        """Append one committed batch (one framed record) to the window.
+        """Encode and append one batch (see :meth:`append_body`)."""
+        self.append_body(self.encode_batch(events), torn=torn, on_durable=on_durable)
+
+    def append_body(
+        self,
+        body: bytes,
+        *,
+        torn: bool = False,
+        on_durable: Optional[Callable[[], None]] = None,
+    ) -> None:
+        """Append one encoded batch body (one framed record) to the window.
+
+        Callers that must hand the body to ``on_durable`` encode it first
+        with :meth:`encode_batch` — the callback may fire inside this call.
 
         The record is flushed to the OS immediately but only fsynced when
         the group-commit window fills (or :meth:`flush_commit_window` is
@@ -367,9 +407,7 @@ class WriteAheadLog:
         durable) any complete batches pending in the window.
         """
         self._maybe_rotate()
-        encoded, heartbeats = encode_batch_events(events)
-        record = encode_record({"t": "batch", "events": encoded})
-        self.stats.heartbeats_encoded += heartbeats
+        record = _frame(body)
         if torn:
             cut = max(_HEADER_LEN + 1, len(record) // 2)
             self._fh.write(record[:cut])

@@ -147,7 +147,7 @@ def journal_fingerprint(journal: EventJournal) -> Dict[str, Any]:
             "events": [
                 (e.seq, e.time, e.kind, dict(e.payload)) for e in journal.events_for(entity_id)
             ],
-            "snapshots": [(seq, t, state) for seq, t, state in log.snapshots],
+            "snapshots": [(seq, t, state) for seq, t, state, _size in log.snapshots],
             "hdd_watermark": log.hdd_watermark,
         }
     return out

@@ -233,7 +233,7 @@ class TestGroupCommitChaos:
             snapshot_every=SNAPSHOT_EVERY,
             wal=WriteAheadLog(wal_dir, group_commit_events=4, crash_hook=hook),
         )
-        journal.commit_listener = lambda events: shipped.append(len(events))
+        journal.commit_listener = lambda batch: shipped.append(len(batch.events))
         reference = EventJournal(snapshot_every=SNAPSHOT_EVERY)
         for i in range(3):
             for j in (journal, reference):

@@ -30,6 +30,7 @@ from repro.pipeline import (
 )
 from repro.pipeline.compaction import ColdStore, MANIFEST_NAME
 from repro.pipeline.replication import ReplicationBatch
+from repro.pipeline.wal import encode_batch_body
 from tests.chaos_harness import (
     build_workload,
     read_fingerprint,
@@ -156,9 +157,10 @@ class TestFoldCorrectness:
         assert len(every_event) == stats.events
         assert sum(fresh_size(e) for e in every_event) == stats.event_bytes
         assert all(e.encoded_size() == fresh_size(e) for e in every_event)
-        # One encode per event decoded from the sealed segments (it was
-        # three), none for the resident rows sized when they were appended.
-        assert CountingJson.calls == report["events"]
+        # No encode at all: folded bytes come from the resident rows sized
+        # when they were appended, never from the events decoded from the
+        # sealed segments (it was three encodes per event, then one).
+        assert CountingJson.calls == 0
 
     def test_compaction_does_not_bump_versions(self, tmp_path):
         journal, _, _ = make_pair(tmp_path)
@@ -365,15 +367,13 @@ class TestHeartbeatEncoding:
 
 class TestReplicationComposition:
     def test_batch_log_freeze_round_trips(self):
-        batches = [
-            ReplicationBatch(
-                seq=i + 1,
-                events=({"e": "h", "s": i, "tm": float(i), "k": "service_refreshed",
-                         "p": {"key": "80/http"}},),
-                obs_high=i if i % 2 else None,
-            )
-            for i in range(10)
-        ]
+        def wal_body(i):
+            payload = {"key": "80/http", "obs_seq": i} if i % 2 else {"key": "80/http"}
+            event = {"e": "h", "s": i, "tm": float(i), "k": "service_refreshed", "p": payload}
+            return encode_batch_body([event])[0]
+
+        batches = [ReplicationBatch.decode(i + 1, wal_body(i), (20 + i,)) for i in range(10)]
+        assert [b.obs_high for b in batches] == [i if i % 2 else None for i in range(10)]
         log = BatchLog()
         for batch in batches:
             log.append(batch)

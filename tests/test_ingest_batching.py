@@ -464,12 +464,12 @@ class TestTickGranularAck:
         )
         delivered = [0] * plat.journal.shard_map.shards
         for shard, shard_journal in enumerate(plat.journal.journals):
-            def listener(events, shard=shard, wal=shard_journal.wal):
+            def listener(batch, shard=shard, wal=shard_journal.wal):
                 # The covering fsync resets the window before it drains
                 # the callbacks: a listener inside an open window would
                 # be seeing un-fsynced records.
                 assert wal._records_since_fsync == 0
-                delivered[shard] += len(events)
+                delivered[shard] += len(batch.events)
 
             shard_journal.commit_listener = listener
         open_after_chunk = []
@@ -563,7 +563,7 @@ class TestTickGranularAck:
         shipped = []
 
         def arm(shard_journal):
-            shard_journal.commit_listener = lambda events: shipped.append(len(events))
+            shard_journal.commit_listener = lambda batch: shipped.append(len(batch.events))
             if mode == "torn":
                 plan = FaultPlan(seed=1, crash_points=(CrashPoint(boundaries[target] + 2, "torn"),))
                 shard_journal.fault_injector = plan.injector()
@@ -702,7 +702,7 @@ class TestChunkCommit:
             fault_injector=injector,
         )
         shipped = []
-        journal.commit_listener = lambda events: shipped.append(len(events))
+        journal.commit_listener = lambda batch: shipped.append(len(batch.events))
         ws = WriteSideProcessor(journal, EventBus())
         crashed_at = None
         for index, chunk in enumerate(chunks):

@@ -23,6 +23,7 @@ from tests.chaos_harness import (
 from repro.core import CensysPlatform, PlatformConfig
 from repro.pipeline import (
     CrashPoint,
+    Event,
     EventBus,
     EventJournal,
     FaultPlan,
@@ -35,6 +36,7 @@ from repro.pipeline import (
     WriteSideProcessor,
 )
 from repro.pipeline.replication import promote_replica
+from repro.pipeline.wal import encode_batch_body
 from repro.simnet import DAY, WorkloadConfig, build_simnet
 
 WORKLOAD = build_workload(seed=7)
@@ -150,14 +152,138 @@ class TestShardReplicator:
         journal = _durable_primary(tmp_path)
         replicator = ShardReplicator(journal, 1)
         replica = replicator.replicas[0]
-        bogus = ReplicationBatch(
-            seq=1,
-            events=({"e": "host:1.2.3.4", "s": 7, "tm": 0.0, "k": "service_found", "p": {}},),
-            obs_high=None,
+        body, _ = encode_batch_body(
+            [{"e": "host:1.2.3.4", "s": 7, "tm": 0.0, "k": "service_found", "p": {}}]
         )
+        bogus = ReplicationBatch.decode(1, body, (31,))
         with pytest.raises(ReplicationError, match="sequence gap"):
             replica.offer(bogus)
         journal.close()
+
+
+def _old_wire(events):
+    """The wire before log shipping: the primary's event dicts dumped and
+    parsed back (kept here as the oracle for what replicas apply)."""
+    blob = json.dumps(events, separators=(",", ":"), sort_keys=True, default=str)
+    return tuple(json.loads(blob))
+
+
+class _CountingJson:
+    """Stands in for the ``json`` name inside ``events.py`` only."""
+
+    calls = 0
+
+    @classmethod
+    def dumps(cls, *args, **kwargs):
+        cls.calls += 1
+        return json.dumps(*args, **kwargs)
+
+
+class TestLogShipping:
+    """Replication ships the WAL's own record body plus the primary's
+    per-event sizes; replicas decode it with the recovery decoder."""
+
+    def _mixed_primary(self, tmp_path):
+        """A primary fed batches with and without heartbeats, with and
+        without delivery sequences, plus non-JSON-native payload values;
+        every batch handed to the listener is recorded beside the log."""
+        journal = _durable_primary(tmp_path)
+        replicator = ShardReplicator(journal, 2)
+        committed = []
+
+        def record(batch):
+            committed.append(batch)
+            replicator._on_commit(batch)
+
+        journal.commit_listener = record
+        key = {"key": "80/tcp"}
+        with journal.transaction():  # no obs_seq anywhere: obs_high None
+            journal.append("h1", 1.0, "service_found", {"key": "80/tcp", "record": {"t": (1, 2)}})
+            journal.append("h1", 2.0, "service_refreshed", dict(key))
+        journal.append("h2", 3.0, "service_refreshed", {"key": "22/tcp", "obs_seq": 4})
+        with journal.transaction():  # heartbeats mixed with a full event
+            for i in range(12):
+                journal.append("h1", 4.0 + i, "service_refreshed", {"key": "80/tcp", "obs_seq": 10 + i})
+            journal.append("h2", 20.0, "service_changed", {"key": "22/tcp", "changed": {"v": 2}, "obs_seq": 30})
+        journal.append("h3", 21.0, "host_meta", {"meta": {"asn": 7, "tags": ("a", "b")}})
+        proc = WriteSideProcessor(journal, EventBus())
+        for item in WORKLOAD[:40]:
+            apply_item(proc, item)
+        assert journal.wal.stats.heartbeats_encoded > 0
+        return journal, replicator, committed
+
+    def test_shipped_batches_equal_the_old_wire_round_trip(self, tmp_path):
+        journal, replicator, committed = self._mixed_primary(tmp_path)
+        assert len(committed) == len(replicator.log)
+        live = list(replicator.log)
+        highs = set()
+        for batch, sent in zip(live, committed):
+            oracle = _old_wire(sent.events)
+            assert batch.events == oracle
+            seqs = [raw["p"]["obs_seq"] for raw in oracle if "obs_seq" in raw["p"]]
+            assert batch.obs_high == (max(seqs) if seqs else None)
+            highs.add(batch.obs_high is None)
+            assert batch.sizes == tuple(
+                Event(raw["e"], raw["s"], raw["tm"], raw["k"], raw["p"]).encoded_size()
+                for raw in oracle
+            )
+        assert highs == {True, False}
+        # Frozen-then-decoded batches come back equal, events and all.
+        assert replicator.log.freeze(len(live) // 2) == len(live) // 2
+        assert list(replicator.log) == live
+        assert replicator.log.decodes == len(live) // 2
+        # What each replica applied is exactly the oracle's events.
+        replicator.pump(1)
+        expected = {}
+        for sent in committed:
+            for raw in _old_wire(sent.events):
+                expected.setdefault(raw["e"], []).append((raw["s"], raw["tm"], raw["k"], raw["p"]))
+        for replica in replicator.replicas:
+            applied = {
+                entity: [(e.seq, e.time, e.kind, dict(e.payload)) for e in replica.journal.events_for(entity)]
+                for entity in replica.journal.entity_ids()
+            }
+            assert applied == expected
+        journal.close()
+
+    def test_replica_apply_encodes_nothing_and_matches_primary_storage(self, tmp_path, monkeypatch):
+        """The twin of the compaction test: a replica takes each event's
+        size from the batch, so pumping performs no ``events.py`` encode
+        and the replica's accounting equals the primary's field by field."""
+        import repro.pipeline.events as events_module
+
+        journal, replicator, _ = self._mixed_primary(tmp_path)
+        _CountingJson.calls = 0
+        monkeypatch.setattr(events_module, "json", _CountingJson)
+        assert replicator.pump(1) == 2 * len(replicator.log)
+        monkeypatch.undo()
+        assert _CountingJson.calls == 0
+        fields = ("events", "event_bytes", "snapshot_bytes", "ssd_bytes", "hdd_bytes", "cold_bytes")
+        primary = {name: getattr(journal.stats, name) for name in fields}
+        assert primary["snapshot_bytes"] > 0 and primary["hdd_bytes"] > 0
+        for replica in replicator.replicas:
+            assert {name: getattr(replica.journal.stats, name) for name in fields} == primary
+        journal.close()
+
+    def test_promotion_from_partly_frozen_log_matches_never_frozen(self, tmp_path):
+        journal, replicator, _ = self._mixed_primary(tmp_path)
+        replicator.pump(1)
+        frozen, plain = replicator.replicas
+        half = len(frozen.batch_log) // 2
+        assert frozen.batch_log.freeze(half) == half
+        assert plain.batch_log.frozen_count == 0
+        journal.close()
+        from_frozen = promote_replica(frozen, str(tmp_path / "from-frozen"))
+        from_plain = promote_replica(plain, str(tmp_path / "from-plain"))
+        assert journal_fingerprint(from_frozen) == journal_fingerprint(from_plain)
+        assert storage_fingerprint(from_frozen) == storage_fingerprint(from_plain)
+        from_frozen.close()
+        from_plain.close()
+        segments = [
+            sorted(p.read_bytes() for p in (tmp_path / name).glob("segment-*.log"))
+            for name in ("from-frozen", "from-plain")
+        ]
+        assert segments[0] == segments[1]
 
 
 class TestPromotionAndFailover:

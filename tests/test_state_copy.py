@@ -112,7 +112,7 @@ def test_mutating_a_reconstruction_never_reaches_the_live_row():
     assert same_shape(journal.peek_current("host:1"), before)
 
     # The cadence snapshot row is isolated the same way, in both directions.
-    _seq, _time, snapped = journal._logs["host:1"].snapshots[-1]
+    _seq, _time, snapped, _size = journal._logs["host:1"].snapshots[-1]
     assert same_shape(snapped, before)
     journal.append("host:1", 3.0, EventKind.HOST_META, {"meta": {"labels": ["l3"]}})
     assert same_shape(snapped, before)

@@ -295,7 +295,7 @@ class TestDurableJournal:
     def test_commit_listener_fires_only_after_covering_fsync(self, tmp_path):
         journal = durable_journal(tmp_path, group_commit_events=3)
         shipped = []
-        journal.commit_listener = lambda events: shipped.append(len(events))
+        journal.commit_listener = lambda batch: shipped.append(len(batch.events))
         journal.append("e", 1.0, EventKind.SERVICE_FOUND, {"key": "80/tcp", "record": {}})
         journal.append("e", 2.0, EventKind.SERVICE_REFRESHED, {"key": "80/tcp"})
         assert shipped == []  # buffered: the covering fsync has not run
