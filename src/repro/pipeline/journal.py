@@ -175,9 +175,13 @@ class EventJournal:
         transaction is open).
         """
         log = self._logs.setdefault(entity_id, _EntityLog())
-        if kind == "service_refreshed" and isinstance(payload, dict) and tuple(payload) == ("key",):
-            payload = self._hb_payloads.setdefault(payload["key"], payload)
-        event = Event(entity_id=entity_id, seq=log.next_seq, time=time, kind=kind, payload=payload)
+        event = Event(
+            entity_id=entity_id,
+            seq=log.next_seq,
+            time=time,
+            kind=kind,
+            payload=self._intern_payload(kind, payload),
+        )
         if log.events:
             head_time = log.events[-1].time
         elif log.snapshots:
@@ -194,6 +198,14 @@ class EventJournal:
             if self._txn_depth == 0:
                 self._commit()
         return event
+
+    def _intern_payload(self, kind: str, payload: Dict[str, Any]) -> Dict[str, Any]:
+        """The payload an event keeps: a bare ``{"key": ...}`` heartbeat is
+        shared per service key, anything else is kept as given.  Live
+        appends and WAL replay both go through here."""
+        if kind == "service_refreshed" and isinstance(payload, dict) and tuple(payload) == ("key",):
+            return self._hb_payloads.setdefault(payload["key"], payload)
+        return payload
 
     def _apply_append(self, log: _EntityLog, event: Event) -> None:
         """In-memory bookkeeping shared by live appends and WAL replay."""
@@ -358,8 +370,10 @@ class EventJournal:
         ``stats.torn_records_discarded``, and truncated away; corruption
         anywhere else raises :class:`~repro.pipeline.wal.WalCorruptionError`.
 
-        With ``reopen`` (default) the WAL is reopened for appending so the
-        pipeline can resume where the durable prefix ends.
+        One streaming pass: each WAL record is decoded once and replayed as
+        it is read.  With ``reopen`` (default) the WAL is reopened for
+        appending so the pipeline can resume where the durable prefix ends;
+        it takes the directory layout from that same pass.
 
         When a compaction manifest exists in the directory, recovery is
         *snapshot-anchored*: each entity starts from its verified anchor
@@ -372,7 +386,6 @@ class EventJournal:
 
         store = ColdStore.open(directory)
         start_after = store.through_segment if store is not None else -1
-        scan = WriteAheadLog.scan(directory, truncate_torn=True, start_after=start_after)
         journal = cls(snapshot_every=snapshot_every)
         base_batches = 0
         base_events = 0
@@ -381,25 +394,33 @@ class EventJournal:
             journal._seed_from_manifest(store)
             base_batches = journal.stats.wal_batches
             base_events = journal.stats.wal_events
+
+        def replay(batch: List[Dict[str, Any]]) -> None:
+            for raw in batch:
+                entity_id, kind = raw["e"], raw["k"]
+                log = journal._logs.setdefault(entity_id, _EntityLog())
+                if raw["s"] != log.next_seq:
+                    raise WalCorruptionError(
+                        f"{directory}: sequence gap for {entity_id}: "
+                        f"expected {log.next_seq}, found {raw['s']}"
+                    )
+                event = Event(
+                    entity_id=entity_id,
+                    seq=raw["s"],
+                    time=raw["tm"],
+                    kind=kind,
+                    payload=journal._intern_payload(kind, raw["p"]),
+                )
+                journal._apply_append(log, event)
+                journal.stats.recovered_events += 1
+
+        # One pass: each batch is replayed as it is read, and the reopened
+        # WAL takes its layout from the same pass.
         journal._replaying = True
         try:
-            for batch in scan.batches:
-                for raw in batch["events"]:
-                    event = Event(
-                        entity_id=raw["e"],
-                        seq=raw["s"],
-                        time=raw["tm"],
-                        kind=raw["k"],
-                        payload=raw["p"],
-                    )
-                    log = journal._logs.setdefault(event.entity_id, _EntityLog())
-                    if event.seq != log.next_seq:
-                        raise WalCorruptionError(
-                            f"{directory}: sequence gap for {event.entity_id}: "
-                            f"expected {log.next_seq}, found {event.seq}"
-                        )
-                    journal._apply_append(log, event)
-                    journal.stats.recovered_events += 1
+            scan = WriteAheadLog.scan(
+                directory, truncate_torn=True, start_after=start_after, on_batch=replay
+            )
         finally:
             journal._replaying = False
         if verify_snapshots:
@@ -407,7 +428,7 @@ class EventJournal:
         journal.stats.torn_records_discarded = scan.torn_discarded
         journal._durable_events = base_events + journal.stats.recovered_events
         journal.stats.wal_events = base_events + journal.stats.recovered_events
-        journal.stats.wal_batches = base_batches + len(scan.batches)
+        journal.stats.wal_batches = base_batches + scan.batch_count
         journal.fault_injector = fault_injector
         if reopen:
             journal.wal = WriteAheadLog(
@@ -416,6 +437,7 @@ class EventJournal:
                 group_commit_events=group_commit_events,
                 group_commit_bytes=group_commit_bytes,
                 start_after=start_after,
+                layout=scan,
             )
         return journal
 
@@ -429,9 +451,12 @@ class EventJournal:
         """
         for entity_id, ent in store.manifest["entities"].items():
             base, time, state = ent["base"], ent["time"], ent["state"]
+            # The anchor row shares the manifest's decoded state, as live
+            # compaction shares ``anchor.state`` (snapshot states are never
+            # mutated); only the serving row needs a private copy.
             self._logs[entity_id] = _EntityLog(
                 events=[],
-                snapshots=[(base, time, snapshot_state(state), ent["state_bytes"])],
+                snapshots=[(base, time, state, ent["state_bytes"])],
                 next_seq=base,
                 hdd_watermark=base - 1,
                 current=snapshot_state(state),

@@ -35,8 +35,9 @@ one sync.
 Two storage optimizations live at this layer:
 
 * **streaming decode** — :func:`decode_segment` reads one frame at a
-  time, so recovery's peak buffer is bounded by the largest single record
-  (plus one read chunk), not by the segment size;
+  time and :meth:`WriteAheadLog.scan` hands each batch to recovery as it
+  is read, so recovery's peak buffer is bounded by the largest single
+  record (plus one read chunk), not by the segment or the log;
 * **heartbeat encoding** — a ``service_refreshed`` event whose payload
   carries nothing beyond the service key (and delivery sequence) is the
   overwhelmingly common "re-observed, nothing changed" case.  On the wire
@@ -173,10 +174,12 @@ def decode_segment(
                             torn_reason = "checksum mismatch"
                         else:
                             try:
-                                sink(json.loads(body.decode("utf-8")))
+                                record = json.loads(body.decode("utf-8"))
                             except (UnicodeDecodeError, json.JSONDecodeError):
                                 torn_reason = "undecodable body"
             if torn_reason is None:
+                # Outside the decode guard: whatever the sink raises is its own.
+                sink(record)
                 offset = fh.tell()
                 continue
             # The bad record must be the last thing in the file to count as torn.
@@ -243,11 +246,16 @@ def decode_batch_body(body: bytes) -> List[Dict[str, Any]]:
 
 @dataclass(slots=True)
 class _ScanResult:
-    """Everything recovery needs from one pass over a WAL directory."""
+    """What one streaming pass over a WAL directory leaves behind.
 
-    batches: List[Dict[str, Any]] = field(default_factory=list)
+    Batches are handed to the caller as they are read and not kept; what
+    stays is the sidecar snapshots (for recovery's cross-check), the torn
+    record count, the batch count, and the layout an appender resumes from.
+    """
+
     snapshots: List[Dict[str, Any]] = field(default_factory=list)
     torn_discarded: int = 0
+    batch_count: int = 0
     segment_indices: List[int] = field(default_factory=list)
     #: Records in the highest segment (so an appender can resume rotation).
     tail_records: int = 0
@@ -258,6 +266,10 @@ class WriteAheadLog:
 
     Opening a directory that already holds segments resumes appending to the
     highest one, truncating a torn tail first (crash-consistent resume).
+    ``layout`` is a :meth:`scan` of this directory, made with
+    ``truncate_torn=True`` and the same ``start_after``, that the caller
+    has just run (recovery hands over its own pass); without it the
+    directory is scanned here.
     """
 
     def __init__(
@@ -269,6 +281,7 @@ class WriteAheadLog:
         group_commit_bytes: Optional[int] = None,
         start_after: int = -1,
         crash_hook: Optional[Callable[[str], None]] = None,
+        layout: Optional[_ScanResult] = None,
     ) -> None:
         if segment_max_records < 1:
             raise ValueError("segment_max_records must be >= 1")
@@ -295,10 +308,12 @@ class WriteAheadLog:
         #: crash at that exact point (close-path fsyncs never fire it).
         self.crash_hook = crash_hook
         os.makedirs(self.directory, exist_ok=True)
-        scan = self.scan(self.directory, truncate_torn=True, start_after=start_after)
-        self._segment_index = scan.segment_indices[-1] if scan.segment_indices else start_after + 1
-        self._segment_records = scan.tail_records
-        self.stats.segments = max(1, len(scan.segment_indices))
+        if layout is None:
+            layout = self.scan(self.directory, truncate_torn=True, start_after=start_after)
+        indices = layout.segment_indices
+        self._segment_index = indices[-1] if indices else start_after + 1
+        self._segment_records = layout.tail_records
+        self.stats.segments = max(1, len(indices))
         self._open_segment()
 
     # -- file management ---------------------------------------------------
@@ -451,11 +466,20 @@ class WriteAheadLog:
         )
         return [index for index in indices if index < self._segment_index]
 
-    # -- recovery scan -----------------------------------------------------
-
     @staticmethod
-    def scan(directory: str, *, truncate_torn: bool = False, start_after: int = -1) -> _ScanResult:
+    def scan(
+        directory: str,
+        *,
+        truncate_torn: bool = False,
+        start_after: int = -1,
+        on_batch: Optional[Callable[[List[Dict[str, Any]]], None]] = None,
+    ) -> _ScanResult:
         """Read every segment (and sidecar) in order, validating framing.
+
+        One streaming pass: each batch record is decoded, checked, handed
+        to ``on_batch`` as its canonical event dicts, and dropped, so no
+        more than one batch is held at a time.  Without ``on_batch`` the
+        batches are checked and counted only.
 
         Segments with index <= ``start_after`` are skipped entirely — the
         compaction manifest covers them, and leftover files below that index
@@ -477,21 +501,28 @@ class WriteAheadLog:
         )
         indices = [index for index in indices if index > start_after]
         result.segment_indices = indices
+        path = ""
+
+        def on_record(record: Dict[str, Any]) -> None:
+            if record.get("t") != "batch":
+                raise WalCorruptionError(f"{path}: unexpected record type {record.get('t')!r}")
+            if on_batch is not None:
+                on_batch(decode_batch_events(record["events"]))
+            result.batch_count += 1
+
         for pos, index in enumerate(indices):
             is_last = pos == len(indices) - 1
             path = os.path.join(directory, SEGMENT_PATTERN % index)
-            records, valid_bytes, torn = decode_segment(path, tolerate_torn_tail=is_last)
+            before = result.batch_count
+            _, valid_bytes, torn = decode_segment(
+                path, tolerate_torn_tail=is_last, on_record=on_record
+            )
             if torn and truncate_torn:
                 with open(path, "ab") as fh:
                     fh.truncate(valid_bytes)
             result.torn_discarded += torn
-            for record in records:
-                if record.get("t") != "batch":
-                    raise WalCorruptionError(f"{path}: unexpected record type {record.get('t')!r}")
-                record["events"] = decode_batch_events(record["events"])
-                result.batches.append(record)
             if is_last:
-                result.tail_records = len(records)
+                result.tail_records = result.batch_count - before
             sidecar = os.path.join(directory, SIDECAR_PATTERN % index)
             if os.path.exists(sidecar):
                 snaps, valid_bytes, torn = decode_segment(sidecar, tolerate_torn_tail=is_last)

@@ -211,6 +211,37 @@ class TestRecovery:
         assert live == cold
         recovered.close()
 
+    def test_anchor_rows_stay_isolated_from_appends_after_recovery(self, tmp_path):
+        journal, _, t_end = make_pair(tmp_path)
+        SegmentCompactor(journal, str(tmp_path / "wal"), min_sealed_segments=2).run_once()
+        journal.close()
+        recovered = EventJournal.recover(
+            str(tmp_path / "wal"), snapshot_every=8, segment_max_records=16
+        )
+        host = HOSTS[0]
+        entry = recovered.cold_store.manifest["entities"][host]
+        log = recovered._logs[host]
+        base, anchor_time, anchor_state, _size = log.snapshots[0]
+        assert base == entry["base"] == log.base_seq > 0
+        row_before = canonical_json(anchor_state)
+        entry_before = canonical_json(entry["state"])
+        at_anchor_before = canonical_json(recovered.reconstruct(host, anchor_time))
+        assert log.current is not anchor_state
+        recovered.append(host, t_end + 1.0, EventKind.SERVICE_CHANGED, {
+            "key": "80/http", "changed": {"banner": "after-recovery", "status": 500},
+        })
+        recovered.append(host, t_end + 2.0, EventKind.SERVICE_FOUND, {
+            "key": "443/https", "protocol": "https", "record": {"banner": "new"},
+        })
+        assert recovered.reconstruct(host)["services"]["80/http"]["record"]["banner"] == (
+            "after-recovery"
+        )
+        assert canonical_json(log.snapshots[0][2]) == row_before
+        assert canonical_json(entry["state"]) == entry_before
+        assert canonical_json(recovered.reconstruct(host, anchor_time)) == at_anchor_before
+        assert log.current is not log.snapshots[0][2]
+        recovered.close()
+
     def test_recovery_replays_only_the_tail(self, tmp_path):
         journal, _, _ = make_pair(tmp_path, rounds=60)
         resident_before = journal.stats.resident_events

@@ -13,6 +13,7 @@ from repro.pipeline import (
     WriteAheadLog,
     WriteSideProcessor,
 )
+from repro.pipeline import wal as wal_module
 from repro.pipeline.wal import _HEADER_LEN, decode_segment, encode_record
 from repro.protocols.interrogate import InterrogationResult
 from tests.chaos_harness import journal_fingerprint, storage_fingerprint
@@ -446,3 +447,97 @@ class TestRotationBoundaries:
             EventJournal.recover(
                 str(tmp_path / "wal"), snapshot_every=3, segment_max_records=4, reopen=False
             )
+
+
+class TestOnePassRecovery:
+    """Recovery reads each file once and hands its layout to the reopened WAL."""
+
+    def _multi_segment_dir(self, tmp_path):
+        journal = durable_journal(tmp_path, segment_max_records=4)
+        fill(journal, n=14)  # four segments, the last one partly full
+        journal.close()
+        wal_dir = tmp_path / "wal"
+        assert len(segment_files(tmp_path)) == 4
+        assert len(segment_files(tmp_path, suffix=".snap")) >= 2
+        return wal_dir
+
+    def _recover_counting_decodes(self, wal_dir, monkeypatch):
+        decoded = []
+        real = wal_module.decode_segment
+
+        def counting(path, **kwargs):
+            decoded.append(os.path.basename(path))
+            return real(path, **kwargs)
+
+        monkeypatch.setattr(wal_module, "decode_segment", counting)
+        recovered = EventJournal.recover(
+            str(wal_dir), snapshot_every=3, segment_max_records=4, reopen=True
+        )
+        monkeypatch.undo()
+        return recovered, decoded
+
+    def _assert_layout_matches_fresh_open(self, recovered, wal_dir):
+        fresh = WriteAheadLog(str(wal_dir), segment_max_records=4)
+        try:
+            assert recovered.wal._segment_index == fresh._segment_index
+            assert recovered.wal._segment_records == fresh._segment_records
+            assert recovered.wal.stats.segments == fresh.stats.segments
+        finally:
+            fresh.close()
+
+    def test_each_file_decoded_once(self, tmp_path, monkeypatch):
+        wal_dir = self._multi_segment_dir(tmp_path)
+        files = sorted(os.listdir(wal_dir))
+        recovered, decoded = self._recover_counting_decodes(wal_dir, monkeypatch)
+        try:
+            assert sorted(decoded) == files
+            assert recovered.stats.torn_records_discarded == 0
+            assert recovered.stats.wal_batches == 14
+            self._assert_layout_matches_fresh_open(recovered, wal_dir)
+        finally:
+            recovered.close()
+
+    def test_each_file_decoded_once_after_torn_tail(self, tmp_path, monkeypatch):
+        wal_dir = self._multi_segment_dir(tmp_path)
+        files = sorted(os.listdir(wal_dir))
+        tail = wal_dir / segment_files(tmp_path)[-1]
+        good_size = tail.stat().st_size
+        with open(tail, "ab") as fh:
+            fh.write(encode_record({"t": "batch", "events": [{"bogus": 1}]})[:-7])
+        recovered, decoded = self._recover_counting_decodes(wal_dir, monkeypatch)
+        try:
+            assert sorted(decoded) == files
+            assert recovered.stats.torn_records_discarded == 1
+            assert tail.stat().st_size == good_size
+            self._assert_layout_matches_fresh_open(recovered, wal_dir)
+        finally:
+            recovered.close()
+
+    def test_recovered_heartbeats_share_payloads_like_live(self, tmp_path):
+        journal = durable_journal(tmp_path, segment_max_records=4)
+        write = WriteSideProcessor(journal, EventBus())
+        for i in range(24):
+            # No delivery sequence: an unchanged re-observation journals a
+            # bare {"key": ...} heartbeat.
+            for port in (80, 8080):
+                write.submit(obs(float(i), {"v": i // 8}, port=port, entity=f"host:{i % 3}"))
+        journal.close()
+        recovered = EventJournal.recover(str(tmp_path / "wal"), snapshot_every=3, reopen=False)
+
+        def heartbeat_payload_ids(j):
+            by_key = {}
+            for entity_id in j.entity_ids():
+                for e in j.events_for(entity_id):
+                    if e.kind == EventKind.SERVICE_REFRESHED:
+                        assert set(e.payload) == {"key"}
+                        by_key.setdefault(e.payload["key"], []).append(id(e.payload))
+            return {key: set(ids) for key, ids in by_key.items() if len(ids) > 1}
+
+        live_ids = heartbeat_payload_ids(journal)
+        recovered_ids = heartbeat_payload_ids(recovered)
+        assert set(live_ids) == {"80/tcp", "8080/tcp"}
+        assert set(recovered_ids) == set(live_ids)
+        assert all(len(ids) == 1 for ids in live_ids.values())
+        assert all(len(ids) == 1 for ids in recovered_ids.values())
+        assert journal_fingerprint(recovered) == journal_fingerprint(journal)
+        assert storage_fingerprint(recovered) == storage_fingerprint(journal)
