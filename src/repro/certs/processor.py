@@ -135,9 +135,6 @@ class CertificateProcessor:
             self._validate(cert, now)
         return len(self._known)
 
-    def known_certificate(self, sha256: str) -> Optional[Certificate]:
-        return self._known.get(sha256)
-
     @property
     def known_count(self) -> int:
         return len(self._known)

@@ -9,7 +9,7 @@ CA/Browser-Forum-style issues third parties care about.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
 from repro.certs.authority import CaWorld
 from repro.certs.x509 import Certificate
@@ -34,12 +34,6 @@ class CrlRegistry:
     def is_revoked(self, cert: Certificate, at: float) -> bool:
         revoked_at = self._revoked.get(cert.issuer_id, {}).get(cert.serial)
         return revoked_at is not None and revoked_at <= at
-
-    def revocation_time(self, cert: Certificate) -> Optional[float]:
-        return self._revoked.get(cert.issuer_id, {}).get(cert.serial)
-
-    def revoked_count(self) -> int:
-        return sum(len(v) for v in self._revoked.values())
 
 
 @dataclass(slots=True)

@@ -69,6 +69,9 @@ from repro.webprops import NameFeed, WebPropertyScanner
 
 __all__ = ["PlatformConfig", "CensysPlatform"]
 
+#: Simulated hours between background compaction passes.
+COMPACTION_INTERVAL_HOURS = 24.0
+
 
 @dataclass(slots=True)
 class PlatformConfig:
@@ -77,16 +80,12 @@ class PlatformConfig:
     priority_cycle_hours: float = 24.0
     cloud_cycle_hours: float = 24.0
     background_ports_per_ip_per_day: float = 100.0
-    refresh_interval_hours: float = 24.0
     eviction_after_hours: float = 72.0
     predictive_enabled: bool = True
     predictive_daily_budget: int = 4000
     reinject_window_hours: float = 60 * DAY
-    webprop_refresh_hours: float = 30 * DAY
     filter_pseudo_services: bool = True
     snapshot_daily: bool = False
-    #: L7 interrogations per simulated hour (None: unbounded).
-    l7_capacity_per_hour: Optional[int] = None
     scanner_id: str = "censys"
     seed: int = 0
     #: Keyspace shards for the journal/index layer (1 = unsharded).
@@ -107,7 +106,6 @@ class PlatformConfig:
     #: Versioned read-path caches (reconstruction, view, query-result).
     #: False = the bit-identical uncached reference configuration.
     read_cache: bool = True
-    reconstruction_cache_entries: int = 4096
     view_cache_entries: int = 4096
     query_cache_entries: int = 256
     #: Per-shard fan-out backend: "serial" (the bit-identical reference),
@@ -119,38 +117,23 @@ class PlatformConfig:
     #: platform, bit-identical).  Requires ``wal_dir`` — replication ships
     #: committed WAL batches, so shards must be durable.
     replication_factor: int = 0
-    #: Replicas that must hold a batch before it counts as acknowledged
-    #: (None = all of them; see pipeline/replication.py watermark notes).
-    replication_ack_replicas: Optional[int] = None
     #: Serve single-host lookups from replicas when within the staleness
     #: bound below (batch endpoints always read the primary).
     replica_reads: bool = False
     #: Staleness bound for replica reads, in whole-shard journal events
     #: (0 = only fully caught-up replicas may serve).
     replica_max_lag_events: int = 0
-    #: Optional FaultPlan for the simulated replication transport (chaos
-    #: tests; None = perfect links).
-    replication_plan: Any = None
     #: Background journal compaction: fold sealed WAL segments into the
-    #: per-shard cold tier (requires ``wal_dir``).  False = the
-    #: uncompacted reference; reads are bit-identical either way.
+    #: per-shard cold tier (requires ``wal_dir``), once per simulated day;
+    #: with replication on, each pass also folds the replica journals.
+    #: False = the uncompacted reference; reads are bit-identical either way.
     compaction: bool = False
-    #: Simulated hours between compaction passes.
-    compaction_interval_hours: float = 24.0
     #: Sealed segments a shard must accumulate before a fold runs.
     compaction_min_sealed_segments: int = 4
-    #: Upper bound on sealed segments folded per pass per shard.
-    compaction_max_segments_per_run: int = 64
-    #: Also fold replica journals (and freeze acked batch-log prefixes)
-    #: during each compaction pass when replication is enabled.
-    compaction_replicas: bool = True
     #: Standing-query subscriptions: registered plans evaluated
     #: incrementally on every reindex (False = off, the bit-identical
     #: default used by every committed experiment run).
     subscriptions: bool = False
-    #: Optional FaultPlan for the notification delivery channel (chaos
-    #: tests; None = perfect delivery).
-    subscription_delivery_plan: Any = None
 
 
 class CensysPlatform:
@@ -198,8 +181,6 @@ class CensysPlatform:
                 self.journal,
                 cfg.replication_factor,
                 cfg.wal_dir,
-                plan=cfg.replication_plan,
-                ack_replicas=cfg.replication_ack_replicas,
                 serve_reads=cfg.replica_reads,
                 max_lag_events=cfg.replica_max_lag_events,
                 executor=self.executor,
@@ -220,7 +201,6 @@ class CensysPlatform:
                     for shard in range(self.shard_map.shards)
                 ],
                 min_sealed_segments=cfg.compaction_min_sealed_segments,
-                max_segments_per_run=cfg.compaction_max_segments_per_run,
                 batch_limit_for=(
                     self.replication.batch_limit_for if self.replication is not None else None
                 ),
@@ -232,9 +212,7 @@ class CensysPlatform:
         self.geoip = GeoIpRegistry(internet.topology)
         self.whois = WhoisRegistry(internet.topology)
         self.reconstruction_cache = (
-            ReconstructionCache(self.journal, cfg.reconstruction_cache_entries)
-            if cfg.read_cache
-            else None
+            ReconstructionCache(self.journal) if cfg.read_cache else None
         )
         self.read_side = ReadSide(
             self.journal,
@@ -266,9 +244,7 @@ class CensysPlatform:
         self.predictive = PredictiveEngine(
             internet.topology, reinject_window_hours=cfg.reinject_window_hours, seed=cfg.seed + 23
         )
-        self.scheduler = RefreshScheduler(
-            refresh_interval=cfg.refresh_interval_hours, eviction_after=cfg.eviction_after_hours
-        )
+        self.scheduler = RefreshScheduler(eviction_after=cfg.eviction_after_hours)
 
         # -- certificates and web properties --------------------------------
         self.ca_world = CaWorld()
@@ -289,9 +265,7 @@ class CensysPlatform:
             from repro.pipeline import SubscriptionEngine
 
             self.subscriptions = SubscriptionEngine(
-                journal=self.journal,
-                delivery_plan=cfg.subscription_delivery_plan,
-                clock=lambda: self.clock.now,
+                journal=self.journal, clock=lambda: self.clock.now
             )
             # A recovered WAL may already hold journaled registrations.
             if self.subscriptions.restore() > 0:
@@ -302,13 +276,12 @@ class CensysPlatform:
             self.predictive, self.scheduler, self.name_feed,
             predictive_enabled=cfg.predictive_enabled,
             predictive_daily_budget=cfg.predictive_daily_budget,
-            webprop_refresh_hours=cfg.webprop_refresh_hours,
         )
         self.interrogation = InterrogationStage(
             internet, self.interrogator, self.queue, self.pops, self.exclusions,
             self.scheduler, self.predictive, self.ingest, self.web_scanner,
             frozenset(priority_ports()),
-            scanner_id=sid, l7_capacity_per_hour=cfg.l7_capacity_per_hour,
+            scanner_id=sid,
             ingest_batch=cfg.ingest_batch,
             executor=self.executor,
         )
@@ -362,7 +335,7 @@ class CensysPlatform:
             self._last_daily = now
         if (
             self.compactor is not None
-            and now - self._last_compaction >= self.config.compaction_interval_hours
+            and now - self._last_compaction >= COMPACTION_INTERVAL_HOURS
         ):
             self.compact_now()
             self._last_compaction = now
@@ -467,7 +440,7 @@ class CensysPlatform:
         if self.compactor is None:
             raise RuntimeError("compact_now requires compaction=True")
         reports = self.compactor.run_once()
-        if self.replication is not None and self.config.compaction_replicas:
+        if self.replication is not None:
             self.replication.compact_replicas()
         return reports
 

@@ -17,11 +17,14 @@ from repro.core.stages.base import StageCounters
 from repro.scan import PredictiveEngine, ScanQueue
 from repro.scan.exclusions import ExclusionList
 from repro.scan.pop import PointOfPresence
-from repro.simnet import SimulatedInternet
+from repro.simnet import DAY, SimulatedInternet
 from repro.simnet.instances import ServiceInstance
 from repro.webprops import NameFeed
 
 __all__ = ["TierSweep", "DiscoveryStage"]
+
+#: Hours between re-scans of a discovered web-property name.
+WEBPROP_REFRESH_HOURS = 30 * DAY
 
 
 class TierSweep:
@@ -73,7 +76,6 @@ class DiscoveryStage:
         *,
         predictive_enabled: bool = True,
         predictive_daily_budget: int = 4000,
-        webprop_refresh_hours: float = 720.0,
     ) -> None:
         self.internet = internet
         self.sweep = sweep
@@ -85,7 +87,6 @@ class DiscoveryStage:
         self.name_feed = name_feed
         self.predictive_enabled = predictive_enabled
         self.predictive_daily_budget = predictive_daily_budget
-        self.webprop_refresh_hours = webprop_refresh_hours
         #: Temporary fast tiers spun up for CVE response: (tier, expires).
         self.cve_tiers: List[Tuple] = []
         #: name -> next refresh time.
@@ -180,6 +181,6 @@ class DiscoveryStage:
             self._web_refresh.setdefault(discovered.name, now)
         due = [name for name, when in self._web_refresh.items() if when <= now]
         for name in due:
-            self._web_refresh[name] = now + self.webprop_refresh_hours
+            self._web_refresh[name] = now + WEBPROP_REFRESH_HOURS
         self.counters.bump("web_names_due", len(due))
         return due

@@ -10,11 +10,11 @@ window runs here too — removals are write-side commands.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from repro.core.scheduler import RefreshScheduler
 from repro.core.stages.base import StageCounters
-from repro.pipeline import EventBus, EventJournal, ScanObservation, WriteSideProcessor
+from repro.pipeline import EventBus, ScanObservation, WriteSideProcessor
 from repro.pipeline.sharding import ShardedJournal
 from repro.scan import PredictiveEngine
 
@@ -26,7 +26,7 @@ class IngestStage:
 
     def __init__(
         self,
-        journal: Union[EventJournal, ShardedJournal],
+        journal: ShardedJournal,
         bus: EventBus,
         write_side: WriteSideProcessor,
     ) -> None:
@@ -66,17 +66,13 @@ class IngestStage:
     ) -> List[Optional[str]]:
         """Batched ingest: one chunk commit per call, acked by :meth:`ack`.
 
-        Bit-identical to calling :meth:`submit` per observation; with a
-        fault injector attached it literally does that (retry and crash
-        schedules are defined against per-observation processing).  Like
+        Bit-identical to calling :meth:`submit` per observation.  Like
         :meth:`submit` it commits into the group-commit window and leaves
         the covering fsync to the window bound or the next :meth:`ack`.
         """
         observations = list(observations)
         if not observations:
             return []
-        if self.write_side.faults is not None:
-            return [self.submit(obs) for obs in observations]
         before_events = self.journal.stats.events
         before_fsyncs = self._wal_fsyncs()
         kinds = self.write_side.submit_chunk(observations, executor)
@@ -106,10 +102,7 @@ class IngestStage:
             self._batched_unacked = False
 
     def _wal_fsyncs(self) -> int:
-        journals = getattr(self.journal, "journals", None)
-        if journals is None:
-            journals = [self.journal]
-        return sum(j.wal.stats.fsyncs for j in journals if j.wal is not None)
+        return sum(j.wal.stats.fsyncs for j in self.journal.journals if j.wal is not None)
 
     def remove_service(self, entity_id: str, key: str, time: float) -> bool:
         return self.write_side.remove_service(entity_id, key, time)

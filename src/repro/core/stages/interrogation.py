@@ -45,7 +45,6 @@ class InterrogationStage:
         priority_port_set: frozenset,
         *,
         scanner_id: str = "censys",
-        l7_capacity_per_hour: Optional[int] = None,
         ingest_batch: int = 1,
         executor: Optional[object] = None,
     ) -> None:
@@ -62,7 +61,6 @@ class InterrogationStage:
         self.web_scanner = web_scanner
         self.priority_port_set = priority_port_set
         self.scanner_id = scanner_id
-        self.l7_capacity_per_hour = l7_capacity_per_hour
         #: Max observations per batched ingest call; 1 = the per-event
         #: reference path.  The batched drain is engineered bit-identical
         #: (see :meth:`_interrogate_batched`), so this is pure amortization.
@@ -85,10 +83,7 @@ class InterrogationStage:
 
     def advance(self, now: float, dt: float) -> int:
         """Drain and interrogate ready candidates; returns work done."""
-        limit = None
-        if self.l7_capacity_per_hour is not None:
-            limit = int(self.l7_capacity_per_hour * dt)
-        candidates = self.queue.pop_ready(now, limit=limit)
+        candidates = self.queue.pop_ready(now)
         if self.ingest_batch > 1 and len(candidates) > 1:
             self._interrogate_batched(candidates, now, dt)
         else:

@@ -10,7 +10,7 @@ placed the services).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.net import ip_to_str
 from repro.simnet.topology import Network, Topology
@@ -107,7 +107,3 @@ class WhoisRegistry:
         size = network.stop - network.start
         prefix = 32 - max(0, size - 1).bit_length()
         return f"{ip_to_str(base_ip)}/{prefix}"
-
-    def organization_networks(self, organization: str):
-        """All networks registered to an organization (ASM seeding)."""
-        return [n for n in self._topology.networks if n.organization == organization]

@@ -59,9 +59,6 @@ class VulnerabilityDatabase:
         candidates = self._by_software.get((vendor, product), [])
         return [c for c in candidates if c.affects(version)]
 
-    def entries_for(self, vendor: str, product: str) -> List[CveEntry]:
-        return list(self._by_software.get((vendor, product), []))
-
     def __len__(self) -> int:
         return sum(len(v) for v in self._by_software.values())
 

@@ -9,8 +9,6 @@ where the paper's own methodology could enumerate true state.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
-
 from repro.engines.base import ReportedService
 from repro.eval.world import EVAL_VANTAGE
 from repro.protocols import Interrogator, default_registry
@@ -57,18 +55,3 @@ def validate_protocol(
         return False
     result = _INTERROGATOR.refresh(conn, service.label if service.label in default_registry() else "")
     return result.success and result.service_name == service.label
-
-
-def filter_live(
-    internet: SimulatedInternet,
-    services: Iterable[ReportedService],
-    now: float,
-    oracle: bool = False,
-) -> Tuple[List[ReportedService], List[ReportedService]]:
-    """Split reported services into (live, stale) via follow-up scans."""
-    check = oracle_liveness if oracle else probe_liveness
-    live: List[ReportedService] = []
-    stale: List[ReportedService] = []
-    for service in services:
-        (live if check(internet, service, now) else stale).append(service)
-    return live, stale

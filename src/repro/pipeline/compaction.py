@@ -69,6 +69,8 @@ __all__ = [
 
 MANIFEST_NAME = "manifest.json"
 COLD_PATTERN = "cold-%05d.cold"
+#: Upper bound on sealed segments one fold takes from one journal.
+MAX_SEGMENTS_PER_RUN = 64
 
 _MANIFEST_STATS_ZERO = {
     "events": 0,
@@ -387,7 +389,6 @@ class SegmentCompactor:
         directory: str,
         *,
         min_sealed_segments: int = 2,
-        max_segments_per_run: int = 64,
         batch_limit: Optional[Callable[[], Optional[int]]] = None,
         crash_hook: Optional[Callable[[str], None]] = None,
     ) -> None:
@@ -396,7 +397,6 @@ class SegmentCompactor:
         self.journal = journal
         self.directory = str(directory)
         self.min_sealed_segments = min_sealed_segments
-        self.max_segments_per_run = max_segments_per_run
         self.batch_limit = batch_limit
         self.crash_hook = crash_hook
         self.stats = CompactionStats()
@@ -451,7 +451,7 @@ class SegmentCompactor:
         candidates = [i for i in wal.sealed_segments() if i > through]
         if len(candidates) < self.min_sealed_segments:
             return {"folded": False, "reason": "not-enough-sealed"}
-        candidates = candidates[: self.max_segments_per_run]
+        candidates = candidates[:MAX_SEGMENTS_PER_RUN]
 
         limit: Optional[int] = None
         if self.batch_limit is not None:
@@ -692,14 +692,12 @@ class ShardedCompactor:
         directories: List[str],
         *,
         min_sealed_segments: int = 2,
-        max_segments_per_run: int = 64,
         batch_limit_for: Optional[Callable[[int], Optional[Callable[[], Optional[int]]]]] = None,
         crash_hook: Optional[Callable[[str], None]] = None,
     ) -> None:
         if len(journals) != len(directories):
             raise ValueError("journals and directories must align")
         self.min_sealed_segments = min_sealed_segments
-        self.max_segments_per_run = max_segments_per_run
         self.batch_limit_for = batch_limit_for
         self.crash_hook = crash_hook
         self.compactors: List[SegmentCompactor] = [
@@ -713,7 +711,6 @@ class ShardedCompactor:
             journal,
             directory,
             min_sealed_segments=self.min_sealed_segments,
-            max_segments_per_run=self.max_segments_per_run,
             batch_limit=batch_limit,
             crash_hook=self.crash_hook,
         )

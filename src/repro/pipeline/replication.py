@@ -169,9 +169,6 @@ class BatchLog:
     def frozen_count(self) -> int:
         return len(self._frozen)
 
-    def frozen_bytes(self) -> int:
-        return sum(len(body) for body, _sizes in self._frozen)
-
     def append(self, batch: ReplicationBatch) -> None:
         self._tail.append(batch)
 
@@ -629,8 +626,6 @@ class ReplicationManager:
         replication_factor: int,
         wal_root: str,
         *,
-        plan: Optional[FaultPlan] = None,
-        ack_replicas: Optional[int] = None,
         serve_reads: bool = False,
         max_lag_events: int = 0,
         executor: Optional[Any] = None,
@@ -648,13 +643,7 @@ class ReplicationManager:
         self.segment_max_records = segment_max_records
         self.group_commit_events = group_commit_events
         self.replicators = [
-            ShardReplicator(
-                shard_journal,
-                replication_factor,
-                plan,
-                shard_id=shard,
-                ack_replicas=ack_replicas,
-            )
+            ShardReplicator(shard_journal, replication_factor, shard_id=shard)
             for shard, shard_journal in enumerate(journal.journals)
         ]
         self.epochs = [0] * len(self.replicators)

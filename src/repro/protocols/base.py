@@ -203,14 +203,6 @@ class ProtocolSpec:
         return f"<ProtocolSpec {self.name}>"
 
 
-def merge_fields(*mappings: Mapping[str, Any]) -> Dict[str, Any]:
-    """Merge reply field mappings left-to-right (later keys win)."""
-    merged: Dict[str, Any] = {}
-    for mapping in mappings:
-        merged.update(mapping)
-    return merged
-
-
 def pick(rng, options: Sequence[Any]) -> Any:
     """Uniform choice helper that tolerates tuples/lists uniformly."""
     return options[rng.randrange(len(options))]

@@ -88,9 +88,6 @@ class ShardedSearchIndex:
     def shards(self) -> int:
         return self.shard_map.shards
 
-    def index_for(self, doc_id: str) -> SearchIndex:
-        return self.indexes[self.shard_map.shard_of(doc_id)]
-
     # -- document management ----------------------------------------------
 
     def put(self, doc_id: str, doc: Dict[str, List[Any]]) -> None:

@@ -42,12 +42,5 @@ class SimClock:
         self._now += hours
         return self._now
 
-    def advance_to(self, when: float) -> float:
-        """Jump to an absolute time at or after ``now``."""
-        if when < self._now:
-            raise ValueError(f"cannot rewind clock from {self._now} to {when}")
-        self._now = float(when)
-        return self._now
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SimClock t={self._now:.2f}h (day {self.day})>"

@@ -280,15 +280,6 @@ class PreparedScanIndex:
         self._extras: List[Tuple[int, ServiceInstance]] = []
         self._extra_cols: Optional[_InstanceColumns] = None
 
-    # Back-compat views of the main columns (position array + refs).
-    @property
-    def _positions(self) -> np.ndarray:
-        return self._cols.positions
-
-    @property
-    def _refs(self) -> List[ServiceInstance]:
-        return self._cols.refs
-
     def _covers(self, inst: ServiceInstance) -> bool:
         return (
             inst.transport == self.transport
@@ -781,9 +772,6 @@ class SimulatedInternet:
             if inst.alive_at(t) and inst.protocol == "HTTP":
                 return (inst.ip_index, inst.port)
         return None
-
-    def web_property(self, name: str) -> Optional[WebProperty]:
-        return self._webprops_by_name.get(name)
 
     def resolve_name_v6(self, name: str, t: float) -> Optional[str]:
         """DNS AAAA: the IPv6 address of a dual-stack web property."""

@@ -13,6 +13,7 @@ import os
 
 import pytest
 
+from repro.core import CensysPlatform, PlatformConfig
 from repro.pipeline import (
     BatchLog,
     CrashPoint,
@@ -31,6 +32,7 @@ from repro.pipeline import (
 from repro.pipeline.compaction import ColdStore, MANIFEST_NAME
 from repro.pipeline.replication import ReplicationBatch
 from repro.pipeline.wal import encode_batch_body
+from repro.simnet import DAY, WorkloadConfig, build_simnet
 from tests.chaos_harness import (
     build_workload,
     read_fingerprint,
@@ -189,6 +191,40 @@ class TestFoldCorrectness:
         assert first["folded"] and second["folded"]
         assert second["segments"][0] == first["segments"][-1] + 1
         assert_reads_equal(journal, reference, [2.0, t_mid, t_end, None])
+
+
+class TestPeriodicFolds:
+    def test_many_folds_keep_every_era_and_recovery_identical(self, tmp_path):
+        """A long refresh-heavy history folded after every block reads like
+        the never-compacted journal at every era, and cold recovery of the
+        two directories agrees."""
+        plain, compacted = (
+            EventJournal(
+                snapshot_every=8,
+                wal=WriteAheadLog(str(tmp_path / name), segment_max_records=16),
+            )
+            for name in ("plain", "compact")
+        )
+        compactor = SegmentCompactor(compacted, str(tmp_path / "compact"), min_sealed_segments=2)
+        t, block_ends = 0.0, []
+        for _block in range(12):
+            feed(plain, 10, t0=t)
+            t = feed(compacted, 10, t0=t)
+            block_ends.append(t)
+            compactor.run_once()
+        assert compactor.stats.runs >= 10
+        assert compacted.stats.resident_events < plain.stats.resident_events // 2
+        assert_reads_equal(compacted, plain, [2.0, *block_ends[:3], *block_ends[-3:], None])
+        plain.close()
+        compacted.close()
+        recovered_plain, recovered_compacted = (
+            EventJournal.recover(
+                str(tmp_path / name), snapshot_every=8, segment_max_records=16, reopen=False
+            )
+            for name in ("plain", "compact")
+        )
+        assert recovered_compacted.stats.recovered_events < recovered_plain.stats.recovered_events
+        assert_reads_equal(recovered_compacted, recovered_plain, [block_ends[5], None])
 
 
 class TestRecovery:
@@ -520,6 +556,51 @@ class TestChaosThroughCompaction:
     )
     def test_each_crash_point_with_chunk_sized_batches(self, point, tmp_path, oracle_fp):
         self._crash_point(point, tmp_path, oracle_fp, **self.CHUNKED)
+
+
+class TestPlatformCompaction:
+    def test_reads_identical_with_compaction_on_and_off(self, tmp_path):
+        """Two platforms over the same world, compaction on and off: every
+        lookup (now and in the folded past), search and aggregate agrees."""
+
+        def build(compaction):
+            world = build_simnet(
+                bits=12,
+                workload_config=WorkloadConfig(
+                    seed=11, services_target=250, t_start=-6 * DAY, t_end=2 * DAY
+                ),
+                seed=11,
+            )
+            plat = CensysPlatform(
+                world,
+                PlatformConfig(
+                    predictive_daily_budget=300, seed=11, shards=2,
+                    wal_dir=str(tmp_path / ("on" if compaction else "off")),
+                    compaction=compaction, compaction_min_sealed_segments=2,
+                ),
+                start_time=-6 * DAY,
+            )
+            plat.run_until(0.0, tick_hours=6.0)
+            return plat
+
+        off, on = build(False), build(True)
+        try:
+            assert on.traffic_report()["storage"]["compaction"]["segments_compacted"] > 0
+            ips = sorted({i.ip_index for i in off.internet.services_alive_at(0.0)})[:60]
+            for ip in ips:
+                for at in (None, -3 * DAY):
+                    assert canonical_json(on.lookup_host(ip, at=at)) == canonical_json(
+                        off.lookup_host(ip, at=at)
+                    ), (ip, at)
+            for query in ("services.service_name: HTTP", "services.port: [100 to 600]",
+                          "not services.service_name: HTTP"):
+                assert on.search(query) == off.search(query), query
+            for query, field in (("services.port: *", "services.service_name"),
+                                 ("services.service_name: HTTP", "location.country")):
+                assert on.index.aggregate(query, field) == off.index.aggregate(query, field)
+        finally:
+            off.close()
+            on.close()
 
 
 class TestManifestFile:

@@ -12,8 +12,9 @@ over every Python file under ``src/``, ``tests/`` and ``benchmarks/``:
   not bind (both through :mod:`symtable`, the compiler's own scoping).
 
 On top of that, the modules in ``UNUSED_IMPORT_MODULES`` must import
-nothing they do not use.  A line may opt out of one finding with a
-trailing ``# noqa``.
+nothing they do not use, and every ``PlatformConfig`` field must be set
+by name somewhere outside its definition (``examples/`` included).  A
+line may opt out of one finding with a trailing ``# noqa``.
 """
 
 from __future__ import annotations
@@ -262,6 +263,50 @@ def test_listed_modules_have_no_unused_imports():
     for path in files:
         errors += _check(path, unused_imports(ast.parse(path.read_text(), _rel(path))))
     assert not errors, "\n".join(errors)
+
+
+# -- no dead knob ------------------------------------------------------------------
+
+#: Where a ``PlatformConfig`` field may be set: everywhere but its definition.
+KNOB_SETTING_TREES = ("src", "tests", "benchmarks", "examples")
+PLATFORM_MODULE = ROOT / "src" / "repro" / "core" / "platform.py"
+
+
+def platform_config_fields() -> List[str]:
+    """Field names of ``PlatformConfig``, read from its class body."""
+    tree = ast.parse(PLATFORM_MODULE.read_text())
+    config = next(
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "PlatformConfig"
+    )
+    return [
+        node.target.id for node in config.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    ]
+
+
+def names_set(tree: ast.AST) -> Iterator[str]:
+    """Keyword-argument names and string dict keys: the ways a config
+    field is set by name (``field=...`` or ``{"field": ...}``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg is not None:
+            yield node.arg
+        elif isinstance(node, ast.Dict):
+            for key in node.keys:
+                if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                    yield key.value
+
+
+def test_every_platform_config_field_is_set_somewhere():
+    """A knob that no experiment, example, benchmark or test sets is dead
+    code with a default: fold it into its component instead."""
+    seen: Set[str] = set()
+    for tree_name in KNOB_SETTING_TREES:
+        for path in sorted((ROOT / tree_name).rglob("*.py")):
+            if path != PLATFORM_MODULE and "__pycache__" not in path.parts:
+                seen.update(names_set(ast.parse(path.read_text(), _rel(path))))
+    unset = [name for name in platform_config_fields() if name not in seen]
+    assert not unset, f"PlatformConfig fields nothing sets by name: {unset}"
 
 
 # -- the lint checks itself ------------------------------------------------------

@@ -15,6 +15,7 @@ The contracts under test:
 """
 
 import os
+import random
 
 import pytest
 
@@ -198,6 +199,35 @@ class TestCandidateNarrowing:
         before = engine.candidates_evaluated
         engine.on_document("host:b", doc(**{"service.protocol": "unregistered"}))
         assert engine.candidates_evaluated == before
+
+    def test_candidates_per_event_stay_flat_across_a_10x_registration_sweep(self):
+        # The vocabulary grows with the registrations (10 subscriptions per
+        # token, 20 broad ones on top), so every event's expected match
+        # count is the same at every level: a narrowing index keeps the
+        # per-event evaluation count flat while registrations grow 10x.
+        subs_per_token, broad_subs, tokens_per_event, n_events = 10, 20, 3, 200
+        per_event = {}
+        for n_subs in (1_000, 3_000, 10_000):
+            vocab_size = n_subs // subs_per_token
+            engine = SubscriptionEngine()
+            rng = random.Random(11)
+            for i in range(n_subs - broad_subs):
+                query = f"services.protocol: proto{i % vocab_size}"
+                if rng.random() < 0.3:
+                    query += " and services.port > 1000"
+                engine.subscribe(query, sub_id=f"watch-{i:07d}")
+            for i in range(broad_subs):
+                engine.subscribe(f"services.port > {7000 + i}", sub_id=f"broad-{i:03d}")
+            rng = random.Random(12)
+            for n in range(n_events):
+                ranks = rng.sample(range(vocab_size), tokens_per_event)
+                engine.on_document(f"host:{n % (n_events // 4)}", {
+                    "services.protocol": [f"proto{r}" for r in ranks],
+                    "services.port": [rng.choice([22, 80, 443, 8080])],
+                })
+            assert engine.events_seen == n_events
+            per_event[n_subs] = engine.candidates_evaluated / n_events
+        assert per_event[10_000] / per_event[1_000] <= 1.5, per_event
 
     def test_current_matchers_always_reevaluated(self):
         # Exit detection must work even when the new doc no longer carries
